@@ -9,6 +9,7 @@
 // that framing lives in sim/snapshot.{hpp,cpp}.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <istream>
@@ -100,10 +101,15 @@ class BinReader {
   std::string str() {
     const std::uint64_t n = u64();
     check_length(n);
-    std::string s(static_cast<std::size_t>(n), '\0');
-    if (n > 0) {
-      is_.read(s.data(), static_cast<std::streamsize>(n));
-      if (static_cast<std::uint64_t>(is_.gcount()) != n) underrun();
+    // Grow in bounded chunks: a corrupt length runs out of stream before
+    // it can size a large buffer.
+    std::string s;
+    while (s.size() < n) {
+      const std::size_t at = s.size();
+      const std::size_t chunk = static_cast<std::size_t>(std::min<std::uint64_t>(n - at, kChunk));
+      s.resize(at + chunk);
+      is_.read(s.data() + at, static_cast<std::streamsize>(chunk));
+      if (static_cast<std::size_t>(is_.gcount()) != chunk) underrun();
     }
     return s;
   }
@@ -113,7 +119,8 @@ class BinReader {
     const std::uint64_t n = u64();
     check_length(n);
     std::vector<T> v;
-    v.reserve(static_cast<std::size_t>(n));
+    // Reserve at most one chunk up front for the same reason as str().
+    v.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(n, kChunk)));
     for (std::uint64_t i = 0; i < n; ++i) v.push_back(read_one());
     return v;
   }
@@ -129,6 +136,8 @@ class BinReader {
   std::istream& stream() { return is_; }
 
  private:
+  static constexpr std::uint64_t kChunk = 1 << 16;
+
   [[noreturn]] void underrun() const {
     throw ContractViolation("binary read past end of stream");
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 
 #include "common/expect.hpp"
 #include "predict/nelder_mead.hpp"
@@ -11,51 +10,13 @@ namespace mlfs {
 
 namespace curve_detail {
 
-namespace {
-
-/// MMF/hyperbolic saturation: a * x / (x + k). Matches the simulator's
-/// ground-truth family (recoverable exactly), k > 0 via exp transform.
-double basis_mmf(const std::vector<double>& p, double x) {
-  const double a = p[0];
-  const double k = std::exp(p[1]);
-  return a * x / (x + k);
-}
-
-/// pow3: c - a * x^(-alpha), alpha > 0.
-double basis_pow3(const std::vector<double>& p, double x) {
-  const double c = p[0];
-  const double a = p[1];
-  const double alpha = std::exp(p[2]);
-  return c - a * std::pow(x, -alpha);
-}
-
-/// ilog: c - a / ln(x + e).
-double basis_ilog(const std::vector<double>& p, double x) {
-  const double c = p[0];
-  const double a = p[1];
-  return c - a / std::log(x + std::numbers::e);
-}
-
-}  // namespace
-
 const std::vector<Basis>& bases() {
   static const std::vector<Basis> kBases = {
-      {"mmf", basis_mmf, {0.9, std::log(8.0)}},
-      {"pow3", basis_pow3, {0.9, 0.9, std::log(0.7)}},
-      {"ilog", basis_ilog, {1.0, 1.0}},
+      {"mmf", {0.9, std::log(8.0)}},
+      {"pow3", {0.9, 0.9, std::log(0.7)}},
+      {"ilog", {1.0, 1.0}},
   };
   return kBases;
-}
-
-double fit_residual(const Basis& basis, const std::vector<double>& params,
-                    std::span<const double> observed) {
-  double sq = 0.0;
-  for (std::size_t i = 0; i < observed.size(); ++i) {
-    const double x = static_cast<double>(i + 1);
-    const double err = basis.eval(params, x) - observed[i];
-    sq += err * err;
-  }
-  return sq / static_cast<double>(observed.size());
 }
 
 CurvePrediction combine_fits(const std::vector<BasisFit>& fits, double residual_scale) {
@@ -114,18 +75,22 @@ CurvePrediction LearningCurvePredictor::predict_at(std::span<const double> obser
     return {observed.empty() ? 0.0 : observed.back(), 0.0};
   }
 
-  std::vector<curve_detail::BasisFit> fits;
-  fits.reserve(curve_detail::bases().size());
-  for (const curve_detail::Basis& basis : curve_detail::bases()) {
-    auto objective = [&basis, observed](const std::vector<double>& p) {
-      return curve_detail::fit_residual(basis, p, observed);
-    };
-    const auto result = nelder_mead(objective, basis.init);
-    curve_detail::BasisFit fit;
-    fit.rmse = std::sqrt(std::max(result.value, 0.0));
-    fit.prediction =
-        std::clamp(basis.eval(result.x, static_cast<double>(target_iteration)), 0.0, 1.0);
-    fits.push_back(fit);
+  curve_detail::IlogTable logs;
+  logs.grow(observed.size());
+  const auto& bs = curve_detail::bases();
+  std::vector<curve_detail::BasisFit> fits(bs.size());
+  for (std::size_t bi = 0; bi < bs.size(); ++bi) {
+    const auto result = curve_detail::visit_basis(bi, [&]<typename B>(std::type_identity<B>) {
+      return nelder_mead(
+          [&](std::span<const double> p) {
+            return curve_detail::fit_residual<B>(p, observed, logs);
+          },
+          bs[bi].init);
+    });
+    fits[bi].rmse = std::sqrt(std::max(result.value, 0.0));
+    fits[bi].prediction = std::clamp(
+        curve_detail::basis_value(bi, result.x, static_cast<double>(target_iteration)), 0.0,
+        1.0);
   }
   return curve_detail::combine_fits(fits, config_.residual_scale);
 }

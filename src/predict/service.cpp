@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <string>
 
 #include "common/expect.hpp"
 #include "predict/nelder_mead.hpp"
@@ -84,21 +85,82 @@ int coarse_bin(int i, int head, int per_octave) {
       std::log2(static_cast<double>(i + 1) / static_cast<double>(head))));
 }
 
-/// Logarithmic tail subsample: the first `head` observations exactly, the
-/// last observation always, and otherwise the last index of each log bin.
-void build_coarse_points(std::span<const double> obs, int head, int per_octave,
-                         std::vector<double>& xs, std::vector<double>& ys) {
-  const int n = static_cast<int>(obs.size());
-  xs.clear();
-  ys.clear();
+/// Logarithmic tail subsample of an n-point prefix, as 0-based indices:
+/// the first `head` observations exactly, the last observation always, and
+/// otherwise the last index of each log bin.
+void build_coarse_index(std::size_t count, int head, int per_octave,
+                        std::vector<std::size_t>& index) {
+  const int n = static_cast<int>(count);
+  index.clear();
   for (int i = 0; i < n; ++i) {
     const bool keep = i < head || i == n - 1 ||
                       coarse_bin(i, head, per_octave) != coarse_bin(i + 1, head, per_octave);
-    if (keep) {
-      xs.push_back(static_cast<double>(i + 1));
-      ys.push_back(obs[i]);
+    if (keep) index.push_back(static_cast<std::size_t>(i));
+  }
+}
+
+/// One basis' fit at a new chain link, under the policy in service.hpp's
+/// file comment: a cold fit, a settled carry-forward, a warm fit, or a warm
+/// fit plus a cold restart. `objective` is the basis' residual kernel over
+/// the link's observations.
+template <typename Objective>
+void fit_basis(const PredictConfig& config, PredictStats& stats, Objective&& objective,
+               std::span<const double> init, const PredictionService::BasisFitRec* pb,
+               PredictionService::BasisFitRec& out) {
+  NelderMeadResult res;
+  if (pb == nullptr) {
+    res = nelder_mead(objective, init);
+    ++stats.fits_cold;
+    out.restarts = 0;
+  } else if (pb->restarts >= config.restart_budget) {
+    // Budget spent: this basis regresses chronically under warm starts;
+    // one cold fit per link beats warm-then-cold double fits.
+    res = nelder_mead(objective, init);
+    ++stats.fits_cold;
+    out.restarts = pb->restarts;
+  } else {
+    // Settled-fit probe: if the previous params still explain the grown
+    // prefix, carry them forward for one objective evaluation.
+    const double probe = objective(std::span<const double>(pb->params));
+    if (probe <= config.settle_factor * pb->value + config.settle_epsilon) {
+      out.params = pb->params;
+      out.value = probe;
+      out.rmse = std::sqrt(std::max(probe, 0.0));
+      out.drift = 0.0;
+      out.restarts = pb->restarts;
+      out.low_streak = pb->low_streak;
+      return;
+    }
+    NelderMeadOptions opts;
+    opts.initial_step =
+        pb->drift < 0.0
+            ? 0.25
+            : std::clamp(config.warm_step_scale * pb->drift, config.warm_step_floor, 0.25);
+    res = nelder_mead(objective, pb->params, opts);
+    ++stats.fits_warm;
+    out.restarts = pb->restarts;
+    if (res.value > config.regression_factor * pb->value + config.regression_epsilon) {
+      NelderMeadResult cold = nelder_mead(objective, init);
+      ++stats.fits_cold;
+      ++out.restarts;
+      if (cold.value < res.value) res = std::move(cold);
     }
   }
+  out.params = std::move(res.x);
+  out.value = res.value;
+  out.rmse = std::sqrt(std::max(res.value, 0.0));
+  if (pb != nullptr) {
+    double drift = 0.0;
+    for (std::size_t d = 0; d < out.params.size(); ++d) {
+      drift = std::max(drift, std::abs(out.params[d] - pb->params[d]));
+    }
+    out.drift = drift;
+  }
+  out.low_streak = pb != nullptr ? pb->low_streak : 0;
+}
+
+[[noreturn]] void reject_state(const std::string& detail) {
+  throw ContractViolation("predict state: " + detail);
 }
 
 }  // namespace
@@ -107,10 +169,11 @@ void PredictionService::fit_link(JobState& st, int done) {
   MLFS_EXPECT(static_cast<int>(st.observed.size()) >= done);
   const std::span<const double> obs(st.observed.data(), static_cast<std::size_t>(done));
   const bool coarse = config_.coarsen && done > config_.coarsen_head;
-  std::vector<double> xs, ys;
+  std::vector<std::size_t> index;
   if (coarse) {
-    build_coarse_points(obs, config_.coarsen_head, config_.coarsen_per_octave, xs, ys);
+    build_coarse_index(obs.size(), config_.coarsen_head, config_.coarsen_per_octave, index);
   }
+  ilog_table_.grow(obs.size());
 
   const auto& bs = curve_detail::bases();
   LinkRecord rec;
@@ -125,72 +188,15 @@ void PredictionService::fit_link(JobState& st, int done) {
       out = *pb;  // frozen: params/rmse carried forward, never refit
       continue;
     }
-    const curve_detail::Basis& basis = bs[bi];
-    auto objective = [&](const std::vector<double>& p) {
-      ++stats_.nm_objective_evals;
-      if (!coarse) return curve_detail::fit_residual(basis, p, obs);
-      double sq = 0.0;
-      for (std::size_t i = 0; i < xs.size(); ++i) {
-        const double err = basis.eval(p, xs[i]) - ys[i];
-        sq += err * err;
-      }
-      return sq / static_cast<double>(xs.size());
-    };
-
-    NelderMeadResult res;
-    bool settled = false;
-    if (pb == nullptr) {
-      res = nelder_mead(objective, basis.init);
-      ++stats_.fits_cold;
-      out.restarts = 0;
-    } else if (pb->restarts >= config_.restart_budget) {
-      // Budget spent: this basis regresses chronically under warm starts;
-      // one cold fit per link beats warm-then-cold double fits.
-      res = nelder_mead(objective, basis.init);
-      ++stats_.fits_cold;
-      out.restarts = pb->restarts;
-    } else {
-      // Settled-fit probe: if the previous params still explain the grown
-      // prefix, carry them forward for one objective evaluation.
-      const double probe = objective(pb->params);
-      if (probe <= config_.settle_factor * pb->value + config_.settle_epsilon) {
-        out.params = pb->params;
-        out.value = probe;
-        out.rmse = std::sqrt(std::max(probe, 0.0));
-        out.drift = 0.0;
-        out.restarts = pb->restarts;
-        settled = true;
-      } else {
-        NelderMeadOptions opts;
-        opts.initial_step =
-            pb->drift < 0.0
-                ? 0.25
-                : std::clamp(config_.warm_step_scale * pb->drift, config_.warm_step_floor,
-                             0.25);
-        res = nelder_mead(objective, pb->params, opts);
-        ++stats_.fits_warm;
-        out.restarts = pb->restarts;
-        if (res.value > config_.regression_factor * pb->value + config_.regression_epsilon) {
-          const NelderMeadResult cold = nelder_mead(objective, basis.init);
-          ++stats_.fits_cold;
-          ++out.restarts;
-          if (cold.value < res.value) res = cold;
-        }
-      }
-    }
-    if (!settled) {
-      out.params = res.x;
-      out.value = res.value;
-      out.rmse = std::sqrt(std::max(res.value, 0.0));
-      if (pb != nullptr) {
-        double drift = 0.0;
-        for (std::size_t d = 0; d < out.params.size(); ++d) {
-          drift = std::max(drift, std::abs(out.params[d] - pb->params[d]));
-        }
-        out.drift = drift;
-      }
-    }
-    out.low_streak = pb != nullptr ? pb->low_streak : 0;
+    // The residual kernel is chosen once per basis fit, not per point.
+    curve_detail::visit_basis(bi, [&]<typename B>(std::type_identity<B>) {
+      const auto objective = [&](std::span<const double> p) {
+        ++stats_.nm_objective_evals;
+        return coarse ? curve_detail::fit_residual<B>(p, obs, index, ilog_table_)
+                      : curve_detail::fit_residual<B>(p, obs, ilog_table_);
+      };
+      fit_basis(config_, stats_, objective, bs[bi].init, pb, out);
+    });
   }
 
   // Freeze bookkeeping: recompute the combination weights (same kernel as
@@ -243,12 +249,12 @@ const PredictionService::LinkRecord* PredictionService::advance_links(JobState& 
 }
 
 CurvePrediction PredictionService::prediction_from(const LinkRecord& rec, int target) const {
-  const auto& bs = curve_detail::bases();
   std::vector<curve_detail::BasisFit> fits(rec.basis.size());
   for (std::size_t bi = 0; bi < rec.basis.size(); ++bi) {
     fits[bi].rmse = rec.basis[bi].rmse;
     fits[bi].prediction = std::clamp(
-        bs[bi].eval(rec.basis[bi].params, static_cast<double>(target)), 0.0, 1.0);
+        curve_detail::basis_value(bi, rec.basis[bi].params, static_cast<double>(target)), 0.0,
+        1.0);
   }
   return curve_detail::combine_fits(fits, curve_config_.residual_scale);
 }
@@ -348,20 +354,48 @@ void PredictionService::restore_state(io::BinReader& r) {
   stats_.nm_objective_evals = static_cast<std::size_t>(r.u64());
   stats_.fit_wall_ms = r.f64();
   states_.clear();
+  const auto& bs = curve_detail::bases();
   const std::uint64_t jobs = r.u64();
   for (std::uint64_t j = 0; j < jobs; ++j) {
     const JobId id = static_cast<JobId>(r.u64());
     JobState st;
     st.observed = r.vec_f64();
+    // The chain is the consecutive check points first_link(),
+    // first_link() + check_interval, ... up to at most the observed
+    // prefix, so its length is bounded by the observations already read.
     const std::uint64_t links = r.u64();
+    if (links > st.observed.size() / static_cast<std::size_t>(check_interval_)) {
+      reject_state("job " + std::to_string(id) + " claims " + std::to_string(links) +
+                   " chain links over " + std::to_string(st.observed.size()) +
+                   " observations");
+    }
     st.links.reserve(static_cast<std::size_t>(links));
+    std::int64_t expected_done = first_link();
     for (std::uint64_t l = 0; l < links; ++l) {
       LinkRecord rec;
-      rec.done = static_cast<int>(r.i64());
+      const std::int64_t done = r.i64();
+      if (done != expected_done || done > static_cast<std::int64_t>(st.observed.size())) {
+        reject_state("job " + std::to_string(id) + " link " + std::to_string(l) + " at done=" +
+                     std::to_string(done) + ", expected check point " +
+                     std::to_string(expected_done) + " within " +
+                     std::to_string(st.observed.size()) + " observations");
+      }
+      rec.done = static_cast<int>(done);
+      expected_done += check_interval_;
       const std::uint64_t nb = r.u64();
-      rec.basis.resize(static_cast<std::size_t>(nb));
-      for (BasisFitRec& b : rec.basis) {
+      if (nb != bs.size()) {
+        reject_state("job " + std::to_string(id) + " link " + std::to_string(l) + " has " +
+                     std::to_string(nb) + " bases, expected " + std::to_string(bs.size()));
+      }
+      rec.basis.resize(bs.size());
+      for (std::size_t bi = 0; bi < bs.size(); ++bi) {
+        BasisFitRec& b = rec.basis[bi];
         b.params = r.vec_f64();
+        if (b.params.size() != bs[bi].init.size()) {
+          reject_state("job " + std::to_string(id) + " link " + std::to_string(l) + " basis " +
+                       bs[bi].name + " has " + std::to_string(b.params.size()) +
+                       " params, expected " + std::to_string(bs[bi].init.size()));
+        }
         b.rmse = r.f64();
         b.value = r.f64();
         b.drift = r.f64();

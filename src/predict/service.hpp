@@ -208,6 +208,11 @@ class PredictionService {
 
   /// Snapshot hooks: curve-fit caches + counters. The runtime predictor
   /// serializes separately (SimEngine's stable "predictor" section).
+  /// restore_state rejects a malformed chain with a ContractViolation
+  /// before sizing anything from it: a link count beyond the observed
+  /// prefix, link check points that are not the consecutive canonical
+  /// ones, a basis count other than bases().size(), or a params vector
+  /// whose length is not its basis' dimension.
   void save_state(io::BinWriter& w) const;
   void restore_state(io::BinReader& r);
 
@@ -227,6 +232,9 @@ class PredictionService {
   LearningCurveConfig curve_config_;
   RuntimePredictor runtime_;
   std::map<JobId, JobState> states_;
+  /// ilog's ln(x + e) denominators, grown to the longest prefix fitted.
+  /// A pure function of the index, so it is not serialized.
+  curve_detail::IlogTable ilog_table_;
   PredictStats stats_;
 };
 

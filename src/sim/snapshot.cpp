@@ -85,6 +85,10 @@ void SnapshotWriter::write(std::ostream& os) const {
 
 namespace {
 
+/// Smallest encoded section: a 4-byte name length, an empty name and an
+/// 8-byte payload length.
+constexpr std::uint64_t kMinSectionBytes = 12;
+
 // Bounds-checked little-endian cursor over the slurped file, reporting the
 // absolute byte offset of the first defect.
 struct FileCursor {
@@ -149,7 +153,16 @@ SnapshotReader::SnapshotReader(std::istream& is, std::uint64_t expected_fingerpr
   }
   fingerprint_ = c.u64("header", "fingerprint");
 
+  const std::uint64_t count_at = c.pos;
   const std::uint32_t count = c.u32("header", "section count");
+  // Each section takes at least kMinSectionBytes and the checksum follows
+  // them, so a larger count is corrupt — reject it before it sizes
+  // anything.
+  if (count > (bytes.size() - c.pos) / kMinSectionBytes) {
+    throw SnapshotError("header", count_at,
+                        "implausible section count " + std::to_string(count) + " for " +
+                            std::to_string(bytes.size() - c.pos) + " remaining bytes");
+  }
   sections_.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint64_t name_at = c.pos;

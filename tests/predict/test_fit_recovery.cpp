@@ -4,7 +4,9 @@
 // higher-dimensional valleys than the 2-D cases in test_nelder_mead.cpp.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "predict/learning_curve.hpp"
@@ -92,7 +94,7 @@ TEST(FitRecovery, WarmStartedChainRecoversLikeColdFits) {
   EXPECT_NEAR(chain_tip.accuracy, cold.accuracy, 0.02);
 }
 
-double rosenbrock(const std::vector<double>& x) {
+double rosenbrock(std::span<const double> x) {
   double total = 0.0;
   for (std::size_t i = 0; i + 1 < x.size(); ++i) {
     const double a = x[i + 1] - x[i] * x[i];
@@ -106,7 +108,7 @@ TEST(FitRecovery, NelderMeadRosenbrock4D) {
   NelderMeadOptions options;
   options.max_iterations = 20000;
   options.tolerance = 1e-14;
-  const auto result = nelder_mead(rosenbrock, {-1.2, 1.0, -1.2, 1.0}, options);
+  const auto result = nelder_mead(rosenbrock, std::array{-1.2, 1.0, -1.2, 1.0}, options);
   for (std::size_t i = 0; i < result.x.size(); ++i) {
     EXPECT_NEAR(result.x[i], 1.0, 5e-2) << "coordinate " << i;
   }
@@ -119,7 +121,7 @@ TEST(FitRecovery, NelderMeadCurveFitRecoversParameters) {
   const double true_a = 0.85;
   const double true_k = 12.0;
   const auto observed = hyperbolic_samples(true_a, true_k, 30);
-  const auto loss = [&](const std::vector<double>& p) {
+  const auto loss = [&](std::span<const double> p) {
     double sum = 0.0;
     for (std::size_t i = 0; i < observed.size(); ++i) {
       const double t = static_cast<double>(i + 1);
@@ -130,7 +132,7 @@ TEST(FitRecovery, NelderMeadCurveFitRecoversParameters) {
   };
   NelderMeadOptions options;
   options.max_iterations = 5000;
-  const auto result = nelder_mead(loss, {0.5, 1.0}, options);
+  const auto result = nelder_mead(loss, std::array{0.5, 1.0}, options);
   EXPECT_NEAR(result.x[0], true_a, 1e-3);
   EXPECT_NEAR(result.x[1], true_k, 1e-2);
 }

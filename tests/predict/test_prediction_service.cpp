@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/expect.hpp"
 #include "workload/model_zoo.hpp"
@@ -199,6 +202,113 @@ TEST(PredictionService, SnapshotRoundTripIsBitExact) {
   const CurvePrediction b = restored.predict_at_max(job);
   EXPECT_EQ(a.accuracy, b.accuracy);
   EXPECT_EQ(a.confidence, b.confidence);
+}
+
+// ------------------------------------------- crafted "predict" payloads
+
+/// One chain link as restore_state reads it.
+struct CraftedLink {
+  std::int64_t done = 0;
+  std::uint64_t basis_count = 3;
+  std::vector<std::size_t> param_sizes = {2, 3, 2};
+};
+
+/// A "predict" section payload holding one job with `observed` points and
+/// the given chain. `link_count` overrides the written link count.
+std::string crafted_state(std::size_t observed, const std::vector<CraftedLink>& links,
+                          std::uint64_t link_count = ~0ull) {
+  std::ostringstream os(std::ios::binary);
+  io::BinWriter w(os);
+  for (int i = 0; i < 4; ++i) w.u64(0);  // counters
+  w.f64(0.0);                            // fit_wall_ms
+  w.u64(1);                              // jobs
+  w.u64(0);                              // job id
+  w.vec_f64(std::vector<double>(observed, 0.5));
+  w.u64(link_count == ~0ull ? links.size() : link_count);
+  for (const CraftedLink& link : links) {
+    w.i64(link.done);
+    w.u64(link.basis_count);
+    for (const std::size_t n : link.param_sizes) {
+      w.vec_f64(std::vector<double>(n, 0.1));
+      w.f64(0.01);   // rmse
+      w.f64(1e-4);   // value
+      w.f64(-1.0);   // drift
+      w.boolean(false);
+      w.i64(0);      // low_streak
+      w.i64(0);      // restarts
+    }
+  }
+  w.boolean(false);  // memo
+  w.i64(0);
+  w.i64(0);
+  w.f64(0.0);
+  w.f64(0.0);
+  return os.str();
+}
+
+/// Restores `bytes` into a service checking every `interval` iterations
+/// (first link 3 for both 1 and 3).
+void restore_crafted(const std::string& bytes, int interval = 3) {
+  PredictionService svc({}, interval);
+  std::istringstream in(bytes, std::ios::binary);
+  io::BinReader r(in);
+  svc.restore_state(r);
+}
+
+void expect_rejected(const std::string& bytes, const std::string& needle, int interval = 3) {
+  try {
+    restore_crafted(bytes, interval);
+    FAIL() << "crafted state accepted; expected rejection mentioning '" << needle << "'";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
+}
+
+TEST(PredictionServiceRestore, WellFormedCraftedChainAccepted) {
+  EXPECT_NO_THROW(restore_crafted(crafted_state(9, {{3}, {6}, {9}})));
+  EXPECT_NO_THROW(restore_crafted(crafted_state(0, {})));
+  EXPECT_NO_THROW(restore_crafted(crafted_state(5, {{3}, {4}, {5}}), 1));
+}
+
+TEST(PredictionServiceRestore, RejectsWrongBasisCount) {
+  CraftedLink two;
+  two.done = 3;
+  two.basis_count = 2;
+  two.param_sizes = {2, 3};
+  expect_rejected(crafted_state(9, {two}), "2 bases, expected 3");
+}
+
+TEST(PredictionServiceRestore, RejectsParamsOfTheWrongDimension) {
+  CraftedLink wide;
+  wide.done = 3;
+  wide.param_sizes = {3, 3, 2};  // mmf has two params
+  expect_rejected(crafted_state(9, {wide}), "basis mmf has 3 params, expected 2");
+  CraftedLink narrow;
+  narrow.done = 3;
+  narrow.param_sizes = {2, 3, 1};  // ilog has two params
+  expect_rejected(crafted_state(9, {narrow}), "basis ilog has 1 params, expected 2");
+}
+
+TEST(PredictionServiceRestore, RejectsLinksOffTheCanonicalCheckPoints) {
+  expect_rejected(crafted_state(9, {{4}}), "done=4");             // not a multiple
+  expect_rejected(crafted_state(9, {{6}}), "done=6");             // skips the first link
+  expect_rejected(crafted_state(9, {{3}, {3}}), "done=3");        // not ascending
+  expect_rejected(crafted_state(9, {{3}, {9}}), "done=9");        // gap in the chain
+  expect_rejected(crafted_state(12, {{3}, {6}, {3}}), "done=3");  // descending
+  expect_rejected(crafted_state(4, {{3}, {4}, {5}}), "done=5", 1);  // beyond the prefix
+  expect_rejected(crafted_state(9, {{-3}}), "done=-3");
+}
+
+TEST(PredictionServiceRestore, RejectsCountsThatWouldDriveUnboundedAllocation) {
+  // Link count far beyond what the observed prefix admits: rejected before
+  // anything is reserved for it.
+  expect_rejected(crafted_state(9, {}, 1ull << 40), "chain links over 9 observations");
+  expect_rejected(crafted_state(9, {{3}}, ~1ull), "chain links over 9 observations");
+  // Basis count far beyond the family: rejected before resizing.
+  CraftedLink huge;
+  huge.done = 3;
+  huge.basis_count = 1ull << 40;
+  expect_rejected(crafted_state(9, {huge}), "bases, expected 3");
 }
 
 TEST(PredictionService, CoarseningIsDeterministicAcrossModes) {

@@ -103,6 +103,44 @@ TEST(SnapshotContainer, AnySingleBitFlipRejected) {
   }
 }
 
+TEST(SnapshotContainer, ImplausibleSectionCountRejectedBeforeAllocating) {
+  // A count no remaining bytes could hold (each section takes at least 12
+  // bytes) must be a structured rejection, even under a valid checksum,
+  // not a std::bad_alloc from sizing the section table.
+  std::string bytes = write_sample();
+  for (int i = 0; i < 4; ++i) bytes[20 + i] = static_cast<char>(0xff);
+  bytes = patch_checksum(std::move(bytes));
+  std::istringstream is(bytes, std::ios::binary);
+  try {
+    SnapshotReader reader(is, 0xfeedu);
+    FAIL() << "implausible section count accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.section(), "header");
+    EXPECT_EQ(e.offset(), 20u);
+    EXPECT_NE(std::string(e.what()).find("section count"), std::string::npos);
+  }
+}
+
+TEST(SnapshotContainer, CorruptLengthFieldsRunOutOfStreamBeforeAllocating) {
+  // A length within BinReader's 2^32 plausibility cap but far beyond the
+  // stream must fail as an underrun, not size a multi-gigabyte buffer.
+  for (const bool as_string : {false, true}) {
+    std::ostringstream os(std::ios::binary);
+    {
+      io::BinWriter w(os);
+      w.u64(1ull << 32);
+      w.f64(1.0);
+    }
+    std::istringstream is(os.str(), std::ios::binary);
+    io::BinReader r(is);
+    if (as_string) {
+      EXPECT_THROW((void)r.str(), ContractViolation);
+    } else {
+      EXPECT_THROW((void)r.vec_f64(), ContractViolation);
+    }
+  }
+}
+
 TEST(SnapshotContainer, BadMagicNamesHeaderAtOffsetZero) {
   std::string bytes = write_sample();
   bytes[0] = 'X';
