@@ -1,31 +1,31 @@
 // Large-scale placement + prediction benchmark — the exit artifact for the
-// bucketed placement index and the memoized prediction service (DESIGN.md,
+// scheduler hot path and the memoized prediction service (DESIGN.md,
 // "Scheduler hot path" and "Prediction service").
 //
 // Replays a Philly-scale point — 550 servers / 2474 GPUs (the trace's
 // heterogeneous footprint) with a saturating arrival stream — end-to-end
-// under MLF-H three times:
+// under MLF-H twice:
 //
-//   A  bucketed index + prediction service   (the default configuration)
-//   B  bucketed index + legacy cold-fit path (stateless curve refits)
-//   C  linear funnel  + prediction service
+//   A  prediction service   (the default configuration)
+//   B  legacy cold-fit path (stateless curve refits)
 //
-// All legs stream their JSONL event logs through an FNV-1a hash, so the
-// benchmark *proves* neither the index (A vs C) nor the memoized,
-// warm-started curve-fit chains (A vs B) changed any decision. Leg A's
-// candidates_linear / candidates_scanned quotient is the measured
-// candidate reduction; B's / A's nm_objective_evals quotient is the
-// measured curve-fit work reduction, and A's fit_wall_ms / run_wall_ms is
-// the wall-clock share the predictor still costs — all three are gated.
-// A second stage runs every registered scheduler at a mid-size point with
-// the same three legs, so the byte-identical claims cover the whole
-// registry rather than MLF-H alone.
+// Both legs stream their JSONL event logs through an FNV-1a hash, so the
+// benchmark *proves* the memoized, warm-started curve-fit chains changed
+// no decision. Before them, the default configuration runs once more on
+// its own, with no observer and nothing co-running, and its mean
+// wall-clock per scheduling round is gated by a ceiling. B's / A's
+// nm_objective_evals quotient is the measured curve-fit work reduction,
+// and A's fit_wall_ms / run_wall_ms is the wall-clock share the predictor
+// still costs — both are gated too. A second stage
+// runs every registered scheduler at a mid-size point with the same two
+// legs, so the byte-identical claim covers the whole registry rather than
+// MLF-H alone.
 //
 // All legs execute through the shared experiment runner on the pool
 // (hashes and counters are simulation-deterministic, so parallelism
-// cannot change them; only the real-clock measurements — sched_overhead_ms
-// and the fit/run wall times — carry contention noise, and the wall-share
-// gate is a ratio of two clocks inside the *same* run).
+// cannot change them; only the real-clock measurements — the fit/run wall
+// times — carry contention noise, and the wall-share gate is a ratio of
+// two clocks inside the *same* run).
 //
 // Emits BENCH_largescale.json (with the predictor timing breakdown) and
 // exits non-zero if any leg pair diverges or any gate fails. CI runs
@@ -91,16 +91,13 @@ struct HashedRun {
 
 /// The Philly-scale leg: heterogeneous 550-server / 2474-GPU fleet, MLF-H,
 /// arrival rate held at the saturating ~375 jobs/hour the full trace
-/// averages, so the funnel is measured under sustained overload — the
-/// regime the index exists for.
-exp::RunRequest philly_request(std::size_t jobs, double hours, bool bucketed, bool service) {
+/// averages, so host choice is measured under sustained overload.
+exp::RunRequest philly_request(std::size_t jobs, double hours, bool service) {
   exp::RunRequest request;
-  request.label = std::string(bucketed ? "bucketed" : "linear") +
-                  (service ? "" : " legacy-fit") + " philly-550";
+  request.label = std::string(service ? "service" : "legacy-fit") + " philly-550";
   request.cluster.server_count = 550;
   request.cluster.total_gpus = 2474;
   request.cluster.gpus_per_server = 4;  // overridden by total_gpus
-  request.cluster.placement_bucket_index = bucketed;
   request.trace.num_jobs = jobs;
   request.trace.duration_hours = hours;
   request.trace.seed = 2020;
@@ -113,15 +110,13 @@ exp::RunRequest philly_request(std::size_t jobs, double hours, bool bucketed, bo
 }
 
 /// One mid-size matrix leg: every registered scheduler must stay
-/// byte-identical with the index on and with the prediction service on.
+/// byte-identical with the prediction service on.
 exp::RunRequest matrix_request(const std::string& scheduler, std::size_t servers,
-                               std::size_t jobs, double hours, bool bucketed, bool service) {
+                               std::size_t jobs, double hours, bool service) {
   exp::RunRequest request;
-  request.label = std::string(bucketed ? "bucketed" : "linear") +
-                  (service ? "" : " legacy-fit") + " " + scheduler;
+  request.label = std::string(service ? "service" : "legacy-fit") + " " + scheduler;
   request.cluster.server_count = servers;
   request.cluster.gpus_per_server = 4;
-  request.cluster.placement_bucket_index = bucketed;
   request.trace.num_jobs = jobs;
   request.trace.duration_hours = hours;
   request.trace.seed = 1117;
@@ -135,13 +130,6 @@ exp::RunRequest matrix_request(const std::string& scheduler, std::size_t servers
 bool identical(const HashedRun& a, const HashedRun& b) {
   return a.sink.hash() == b.sink.hash() && a.sink.bytes() == b.sink.bytes() &&
          a.sink.bytes() > 0;
-}
-
-double reduction(const RunMetrics& m) {
-  return m.candidates_scanned > 0
-             ? static_cast<double>(m.candidates_linear) /
-                   static_cast<double>(m.candidates_scanned)
-             : 0.0;
 }
 
 double nm_reduction(const RunMetrics& service, const RunMetrics& legacy) {
@@ -176,12 +164,9 @@ int main(int argc, char** argv) {
   const std::size_t matrix_servers = smoke ? 32 : 64;
   const std::size_t matrix_jobs = smoke ? 300 : 800;
   const double matrix_hours = smoke ? 4.0 : 6.0;
-  // The full Philly point measures >= 120x; smoke's shorter stream spends
-  // proportionally longer in the (index-unfriendly) empty-cluster fill
-  // phase, so its floor is lower. Both gates sit well below measured
-  // values and orders of magnitude above the ~5x a feasibility-only
-  // funnel can reach.
-  const double reduction_gate = smoke ? 40.0 : 100.0;
+  // Mean wall-clock per scheduling round of the timing run. See CHANGES.md
+  // for the readings behind it.
+  const double ms_per_round_ceiling = 1.57;
   // Curve-fit work: the legacy path recomputes the whole warm-start chain
   // at every OptStop check (quadratic in chain length per job); the
   // service computes each link once. The aggregate quotient is dominated
@@ -206,15 +191,13 @@ int main(int argc, char** argv) {
     request.observer = hashers.back()->log.get();
     requests.push_back(std::move(request));
   };
-  // Philly legs A / B / C (see file comment).
-  add(philly_request(philly_jobs, philly_hours, /*bucketed=*/true, /*service=*/true));
-  add(philly_request(philly_jobs, philly_hours, /*bucketed=*/true, /*service=*/false));
-  add(philly_request(philly_jobs, philly_hours, /*bucketed=*/false, /*service=*/true));
-  // Matrix: per scheduler the same three legs at a mid-size point.
+  // Philly legs A / B (see file comment).
+  add(philly_request(philly_jobs, philly_hours, /*service=*/true));
+  add(philly_request(philly_jobs, philly_hours, /*service=*/false));
+  // Matrix: per scheduler the same two legs at a mid-size point.
   for (const std::string& name : schedulers) {
-    add(matrix_request(name, matrix_servers, matrix_jobs, matrix_hours, true, true));
-    add(matrix_request(name, matrix_servers, matrix_jobs, matrix_hours, true, false));
-    add(matrix_request(name, matrix_servers, matrix_jobs, matrix_hours, false, true));
+    add(matrix_request(name, matrix_servers, matrix_jobs, matrix_hours, true));
+    add(matrix_request(name, matrix_servers, matrix_jobs, matrix_hours, false));
   }
 
   exp::RunOptions options;
@@ -223,40 +206,27 @@ int main(int argc, char** argv) {
             << exp::resolve_threads(threads) << " threads), philly point = 550 servers / "
             << "2474 GPUs / " << philly_jobs << " jobs over " << philly_hours << "h\n";
   const auto t0 = std::chrono::steady_clock::now();
+  // Timing run: leg A's request without its observer, alone, so neither
+  // JSONL hashing nor co-running legs inflate the per-round wall clock.
+  const RunMetrics timed = exp::execute_run(philly_request(philly_jobs, philly_hours, true));
   const std::vector<RunMetrics> results = exp::run_batch(requests, options);
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
-  const RunMetrics& leg_a = results[0];  // bucketed + service (default)
-  const RunMetrics& leg_b = results[1];  // bucketed + legacy cold fits
-  const RunMetrics& leg_c = results[2];  // linear + service
+  const RunMetrics& leg_a = results[0];  // service (default)
+  const RunMetrics& leg_b = results[1];  // legacy cold fits
   const bool philly_service_identical = identical(*hashers[0], *hashers[1]);
-  const bool philly_index_identical = identical(*hashers[0], *hashers[2]);
-  const double philly_reduction = reduction(leg_a);
+  const double ms_per_round = timed.sched_overhead_ms;
+  const bool timed_identical = timed.event_stream_hash == leg_a.event_stream_hash;
   const double philly_nm_reduction = nm_reduction(leg_a, leg_b);
   const double philly_fit_share = fit_share(leg_a);
-  // The linear leg must agree on what a linear funnel scans, and the
-  // bucketed leg's funnel accounting must cover every such candidate.
-  const bool counter_consistent =
-      leg_c.candidates_scanned == leg_c.candidates_linear &&
-      leg_a.candidates_linear == leg_c.candidates_linear &&
-      leg_a.candidates_scanned + leg_a.pindex_servers_pruned +
-              leg_a.pindex_servers_bypassed ==
-          leg_a.candidates_linear;
-  const double speedup = leg_a.sched_overhead_ms > 0.0
-                             ? leg_c.sched_overhead_ms / leg_a.sched_overhead_ms
-                             : 0.0;
 
   std::cout << "=== philly point ===\n";
   std::cout << "  default    : " << leg_a.summary() << "\n";
   std::cout << "  legacy-fit : " << leg_b.summary() << "\n";
-  std::cout << "  linear     : " << leg_c.summary() << "\n";
-  std::cout << "  index_identical=" << (philly_index_identical ? "true" : "false")
-            << " service_identical=" << (philly_service_identical ? "true" : "false")
-            << "\n  candidates: " << leg_a.candidates_scanned << " scanned vs "
-            << leg_a.candidates_linear << " linear (" << philly_reduction
-            << "x reduction, gate " << reduction_gate << "x), sched-round speedup "
-            << speedup << "x\n"
+  std::cout << "  service_identical=" << (philly_service_identical ? "true" : "false")
+            << "\n  sched round: " << ms_per_round << "ms (ceiling " << ms_per_round_ceiling
+            << "ms), " << leg_a.candidates_scanned << " candidates scanned\n"
             << "  curve fits: " << leg_a.nm_objective_evals << " NM evals vs "
             << leg_b.nm_objective_evals << " legacy (" << philly_nm_reduction
             << "x reduction, gate " << nm_gate << "x), fit wall share "
@@ -267,21 +237,13 @@ int main(int argc, char** argv) {
        << ",\n  \"wall_seconds\": " << wall_seconds
        << ",\n  \"philly\": {\"servers\": 550, \"gpus\": 2474, \"jobs\": " << philly_jobs
        << ", \"arrival_hours\": " << philly_hours
-       << ",\n    \"index_decisions_identical\": " << (philly_index_identical ? "true" : "false")
-       << ", \"service_decisions_identical\": "
+       << ",\n    \"service_decisions_identical\": "
        << (philly_service_identical ? "true" : "false")
        << ", \"event_stream_bytes\": " << hashers[0]->sink.bytes()
-       << ", \"counter_accounting_consistent\": " << (counter_consistent ? "true" : "false")
        << ",\n    \"candidates_scanned\": " << leg_a.candidates_scanned
-       << ", \"candidates_linear\": " << leg_a.candidates_linear
-       << ", \"reduction_x\": " << philly_reduction
-       << ", \"reduction_gate_x\": " << reduction_gate
-       << ",\n    \"pindex_queries\": " << leg_a.pindex_queries
-       << ", \"pindex_servers_pruned\": " << leg_a.pindex_servers_pruned
-       << ", \"pindex_servers_bypassed\": " << leg_a.pindex_servers_bypassed
-       << ",\n    \"ms_per_round_bucketed\": " << leg_a.sched_overhead_ms
-       << ", \"ms_per_round_linear\": " << leg_c.sched_overhead_ms
-       << ", \"sched_round_speedup\": " << speedup
+       << ", \"rounds\": " << leg_a.sched_rounds
+       << ", \"ms_per_round\": " << ms_per_round
+       << ", \"ms_per_round_ceiling\": " << ms_per_round_ceiling
        << ",\n    \"predictor\": {\"fits_cold\": " << leg_a.fits_cold
        << ", \"fits_warm\": " << leg_a.fits_warm
        << ", \"cache_hits\": " << leg_a.prediction_cache_hits
@@ -296,44 +258,32 @@ int main(int argc, char** argv) {
        << ", \"fit_share_gate\": " << fit_share_gate
        << "}},\n  \"scheduler_matrix\": [\n";
   for (std::size_t i = 0; i < schedulers.size(); ++i) {
-    const RunMetrics& on = results[3 + 3 * i];
-    const RunMetrics& legacy = results[4 + 3 * i];
-    const bool service_same = identical(*hashers[3 + 3 * i], *hashers[4 + 3 * i]);
-    const bool index_same = identical(*hashers[3 + 3 * i], *hashers[5 + 3 * i]);
-    matrix_identical = matrix_identical && service_same && index_same;
-    std::cout << "  " << schedulers[i] << ": index_identical="
-              << (index_same ? "true" : "false")
-              << " service_identical=" << (service_same ? "true" : "false")
-              << " reduction=" << reduction(on) << "x nm_reduction="
-              << nm_reduction(on, legacy) << "x\n";
+    const RunMetrics& on = results[2 + 2 * i];
+    const RunMetrics& legacy = results[3 + 2 * i];
+    const bool service_same = identical(*hashers[2 + 2 * i], *hashers[3 + 2 * i]);
+    matrix_identical = matrix_identical && service_same;
+    std::cout << "  " << schedulers[i]
+              << ": service_identical=" << (service_same ? "true" : "false")
+              << " nm_reduction=" << nm_reduction(on, legacy) << "x\n";
     json << "    {\"scheduler\": \"" << schedulers[i]
-         << "\", \"index_decisions_identical\": " << (index_same ? "true" : "false")
-         << ", \"service_decisions_identical\": " << (service_same ? "true" : "false")
-         << ", \"reduction_x\": " << reduction(on)
+         << "\", \"service_decisions_identical\": " << (service_same ? "true" : "false")
          << ", \"nm_eval_reduction_x\": " << nm_reduction(on, legacy) << "}"
          << (i + 1 < schedulers.size() ? "," : "") << "\n";
   }
-  const bool all_identical =
-      philly_service_identical && philly_index_identical && matrix_identical;
-  const bool pass = all_identical && counter_consistent &&
-                    philly_reduction >= reduction_gate && philly_nm_reduction >= nm_gate &&
-                    philly_fit_share < fit_share_gate;
+  const bool all_identical = philly_service_identical && timed_identical && matrix_identical;
+  const bool pass = all_identical && ms_per_round <= ms_per_round_ceiling &&
+                    philly_nm_reduction >= nm_gate && philly_fit_share < fit_share_gate;
   json << "  ],\n  \"all_decisions_identical\": " << (all_identical ? "true" : "false")
        << ",\n  \"pass\": " << (pass ? "true" : "false") << "\n}\n";
   std::cout << "wrote " << out_file << " (" << wall_seconds << "s)\n";
 
   if (!all_identical) {
-    std::cerr << "FAIL: a bucketed-index or prediction-service leg diverged from its "
-                 "reference\n";
+    std::cerr << "FAIL: a leg's decisions diverged from its reference\n";
     return 1;
   }
-  if (!counter_consistent) {
-    std::cerr << "FAIL: funnel counter accounting inconsistent between legs\n";
-    return 1;
-  }
-  if (philly_reduction < reduction_gate) {
-    std::cerr << "FAIL: candidate reduction " << philly_reduction << "x below the "
-              << reduction_gate << "x gate\n";
+  if (ms_per_round > ms_per_round_ceiling) {
+    std::cerr << "FAIL: " << ms_per_round << "ms per scheduling round above the "
+              << ms_per_round_ceiling << "ms ceiling\n";
     return 1;
   }
   if (philly_nm_reduction < nm_gate) {

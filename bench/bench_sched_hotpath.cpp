@@ -1,83 +1,46 @@
-// Scheduler hot-path benchmark — the perf-trajectory baseline for the
-// incremental load index + comm-volume memoization (DESIGN.md, "Scheduler
-// hot path").
+// Scheduler hot-path benchmark — the perf trajectory of MLF-H's host
+// choice: the incremental load index, the epoch-keyed comm-volume memo and
+// the fused linear candidate scan (DESIGN.md, "Scheduler hot path").
 //
-// For each cluster size it runs MLF-H twice on the *same* workload and
-// seeds: once in legacy mode (full fleet scans, recompute-per-candidate
-// comm volumes, comparator-driven sorts) and once with the indexed hot
-// path. Both runs stream their JSONL event log through a hash so the
-// benchmark also *proves* the optimization changed no decision: the two
-// event streams must be byte-identical.
+// For each cluster size it runs MLF-H once, strictly serially (so the
+// wall-clock per-round numbers are never polluted by co-running
+// simulations), and records the mean wall-clock per scheduling round and
+// the hot-path counters. Every run must also reproduce the event-stream
+// hash and event count pinned for that point: the pins were captured from
+// runs whose JSONL event streams were byte-identical to the reference
+// full-scan scheduler's, so a mismatch means a hot-path change moved a
+// decision.
 //
-// All simulations execute through the shared experiment runner
-// (exp::execute_run). The hash-equivalence pass runs on the pool
-// (--threads; hashes are simulation-deterministic, so parallelism cannot
-// change them); the timing pass stays strictly serial so wall-clock
-// per-round numbers are never polluted by co-running simulations.
+// Emits BENCH_sched_hotpath.json. CI runs `--smoke` and uploads the file.
 //
-// Emits BENCH_sched_hotpath.json with per-point mean wall-clock per
-// scheduling round, the hot-path counters, the speedup, and the
-// decisions_identical verdict. CI runs `--smoke` and uploads the file.
-//
-// Usage: bench_sched_hotpath [--smoke] [--out FILE] [--threads N]
+// Usage: bench_sched_hotpath [--smoke] [--out FILE]
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
-#include <ostream>
-#include <streambuf>
 #include <string>
 #include <vector>
 
-#include "exp/parallel.hpp"
 #include "exp/runner.hpp"
-#include "sim/event_log.hpp"
-#include "workload/trace.hpp"
 
 namespace {
 
 using namespace mlfs;
 
-/// Sink that FNV-1a-hashes everything written to it — lets us compare two
-/// multi-million-line event streams without holding either in memory.
-class HashStreamBuf : public std::streambuf {
- public:
-  std::uint64_t hash() const { return hash_; }
-  std::uint64_t bytes() const { return bytes_; }
-
- protected:
-  int overflow(int ch) override {
-    if (ch != traits_type::eof()) mix(static_cast<unsigned char>(ch));
-    return ch;
-  }
-  std::streamsize xsputn(const char* s, std::streamsize n) override {
-    for (std::streamsize i = 0; i < n; ++i) mix(static_cast<unsigned char>(s[i]));
-    return n;
-  }
-
- private:
-  void mix(unsigned char c) {
-    hash_ = (hash_ ^ c) * 1099511628211ull;
-    ++bytes_;
-  }
-  std::uint64_t hash_ = 1469598103934665603ull;
-  std::uint64_t bytes_ = 0;
-};
-
 struct SizePoint {
   std::size_t servers;
   std::size_t jobs;
+  std::uint64_t event_stream_hash;  ///< pinned decision fingerprint
+  std::size_t events_processed;
 };
 
-/// The shared-runner request for one (size, mode) simulation.
-exp::RunRequest hotpath_request(const SizePoint& pt, bool legacy) {
+/// The shared-runner request for one size point.
+exp::RunRequest hotpath_request(const SizePoint& pt) {
   exp::RunRequest request;
-  request.label = std::string(legacy ? "legacy" : "indexed") + " " +
-                  std::to_string(pt.servers) + " servers";
+  request.label = std::to_string(pt.servers) + " servers";
   request.cluster.server_count = pt.servers;
   request.cluster.gpus_per_server = 4;
-  request.cluster.incremental_load_index = !legacy;
   request.trace.num_jobs = pt.jobs;
   request.trace.duration_hours = 12.0;
   request.trace.seed = 42;
@@ -86,19 +49,8 @@ exp::RunRequest hotpath_request(const SizePoint& pt, bool legacy) {
   request.engine.seed = 42 ^ 0xabc;
   request.scheduler = "MLF-H";
   request.mlfs_config.heuristic_only = true;
-  request.mlfs_config.legacy_hot_path = legacy;
   return request;
 }
-
-/// Per-run hashing observer bundle with stable addresses for the batch.
-struct HashedRun {
-  HashStreamBuf sink;
-  std::unique_ptr<std::ostream> out;
-  std::unique_ptr<JsonlEventLog> log;
-
-  HashedRun() : out(std::make_unique<std::ostream>(&sink)),
-                log(std::make_unique<JsonlEventLog>(*out)) {}
-};
 
 void emit_counters(std::ostream& os, const RunMetrics& m) {
   os << "{\"ms_per_round\": " << m.sched_overhead_ms << ", \"rounds\": " << m.sched_rounds
@@ -115,88 +67,49 @@ void emit_counters(std::ostream& os, const RunMetrics& m) {
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string out_file = "BENCH_sched_hotpath.json";
-  unsigned threads = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_file = argv[++i];
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-      threads = static_cast<unsigned>(std::stoul(argv[++i]));
   }
 
   const std::vector<SizePoint> points =
-      smoke ? std::vector<SizePoint>{{8, 60}}
-            : std::vector<SizePoint>{{16, 150}, {32, 300}, {64, 600}, {96, 900}};
+      smoke ? std::vector<SizePoint>{{8, 60, 0x3f933203cc44cb37ull, 11710}}
+            : std::vector<SizePoint>{{16, 150, 0x63bef77129ecddd7ull, 24272},
+                                     {32, 300, 0x153dc488655f2690ull, 50240},
+                                     {64, 600, 0x314c28f3a9e9a2aaull, 104902},
+                                     {96, 900, 0xfb47796c50b04833ull, 150062}};
 
   std::ofstream json(out_file);
   if (!json) {
     std::cerr << "cannot open " << out_file << "\n";
     return 1;
   }
-
-  // Equivalence pass on the pool: legacy + indexed per point, each hashing
-  // its own event stream. Results (and hashes) land by request index.
-  std::vector<exp::RunRequest> hash_requests;
-  std::vector<std::unique_ptr<HashedRun>> hashers;
-  for (const SizePoint& pt : points) {
-    for (const bool legacy : {true, false}) {
-      hashers.push_back(std::make_unique<HashedRun>());
-      exp::RunRequest request = hotpath_request(pt, legacy);
-      request.observer = hashers.back()->log.get();
-      hash_requests.push_back(std::move(request));
-    }
-  }
-  exp::RunOptions hash_options;
-  hash_options.threads = threads;
-  hash_options.verbose = false;
-  std::cout << "equivalence pass: " << hash_requests.size() << " hashed runs ("
-            << exp::resolve_threads(threads) << " threads)\n";
-  exp::run_batch(hash_requests, hash_options);
-
   json << "{\n  \"benchmark\": \"sched_hotpath\",\n  \"smoke\": "
        << (smoke ? "true" : "false") << ",\n  \"points\": [\n";
 
-  bool all_identical = true;
-  double largest_speedup = 0.0;
+  bool all_pinned = true;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const SizePoint& pt = points[i];
     std::cout << "=== " << pt.servers << " servers / " << pt.jobs << " jobs ===\n";
-    const HashedRun& legacy_hashed = *hashers[2 * i];
-    const HashedRun& indexed_hashed = *hashers[2 * i + 1];
-    // Timing pass: observer off, strictly serial, scheduler wall-clock only.
-    const RunMetrics legacy = exp::execute_run(hotpath_request(pt, /*legacy=*/true));
-    std::cout << "  legacy : " << legacy.summary() << "\n";
-    const RunMetrics indexed = exp::execute_run(hotpath_request(pt, /*legacy=*/false));
-    std::cout << "  indexed: " << indexed.summary() << "\n";
-
-    const bool identical = legacy_hashed.sink.hash() == indexed_hashed.sink.hash() &&
-                           legacy_hashed.sink.bytes() == indexed_hashed.sink.bytes() &&
-                           indexed_hashed.sink.bytes() > 0;
-    all_identical = all_identical && identical;
-    const double speedup = indexed.sched_overhead_ms > 0.0
-                               ? legacy.sched_overhead_ms / indexed.sched_overhead_ms
-                               : 0.0;
-    largest_speedup = speedup;  // points are ordered smallest -> largest
-    std::cout << "  decisions_identical=" << (identical ? "true" : "false")
-              << " speedup=" << speedup << "x ("
-              << legacy.sched_overhead_ms << "ms -> "
-              << indexed.sched_overhead_ms << "ms per round)\n";
+    const RunMetrics m = exp::execute_run(hotpath_request(pt));
+    std::cout << "  " << m.summary() << "\n";
+    const bool pinned = m.event_stream_hash == pt.event_stream_hash &&
+                        m.events_processed == pt.events_processed;
+    all_pinned = all_pinned && pinned;
+    std::cout << "  decisions_pinned=" << (pinned ? "true" : "false") << " ("
+              << m.sched_overhead_ms << "ms per round)\n";
 
     json << "    {\"servers\": " << pt.servers << ", \"jobs\": " << pt.jobs
-         << ", \"decisions_identical\": " << (identical ? "true" : "false")
-         << ", \"event_stream_bytes\": " << indexed_hashed.sink.bytes()
-         << ", \"speedup\": " << speedup << ",\n     \"legacy\": ";
-    emit_counters(json, legacy);
-    json << ",\n     \"indexed\": ";
-    emit_counters(json, indexed);
+         << ", \"decisions_pinned\": " << (pinned ? "true" : "false")
+         << ", \"events_processed\": " << m.events_processed << ",\n     \"counters\": ";
+    emit_counters(json, m);
     json << "}" << (i + 1 < points.size() ? "," : "") << "\n";
   }
-  json << "  ],\n  \"largest_point_speedup\": " << largest_speedup
-       << ",\n  \"all_decisions_identical\": " << (all_identical ? "true" : "false")
-       << "\n}\n";
+  json << "  ],\n  \"all_decisions_pinned\": " << (all_pinned ? "true" : "false") << "\n}\n";
   std::cout << "wrote " << out_file << "\n";
 
-  if (!all_identical) {
-    std::cerr << "FAIL: indexed hot path diverged from the legacy scheduler\n";
+  if (!all_pinned) {
+    std::cerr << "FAIL: an event stream diverged from its pinned hash\n";
     return 1;
   }
   return 0;

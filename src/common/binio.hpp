@@ -135,6 +135,18 @@ class BinReader {
 
   std::istream& stream() { return is_; }
 
+  /// Bytes left before the end of the stream, for bounding a count before
+  /// allocating for it. A non-seekable stream reports no bound (its reads
+  /// still fail on underrun).
+  std::uint64_t remaining() {
+    const std::istream::pos_type at = is_.tellg();
+    if (at == std::istream::pos_type(-1)) return ~0ull;
+    is_.seekg(0, std::ios::end);
+    const std::istream::pos_type end = is_.tellg();
+    is_.seekg(at);
+    return end > at ? static_cast<std::uint64_t>(end - at) : 0;
+  }
+
  private:
   static constexpr std::uint64_t kChunk = 1 << 16;
 

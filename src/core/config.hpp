@@ -40,13 +40,9 @@ struct PlacementParams {
   bool use_topology = false;
   double rack_affinity = 0.5;
 
-  /// Memoize per-(task, server) communication volumes, keyed on the
-  /// *owning job's* placement epoch (see DESIGN.md, "Scheduler hot path").
-  /// Bit-exact with the direct computation; `false` keeps the reference
-  /// path for equivalence tests and benchmarks.
-  bool memoize_comm = true;
-
-  /// Capacity of the comm-volume memo arena, in tasks: one slot holds one
+  /// Capacity of the per-(task, server) communication-volume memo (keyed
+  /// on the owning job's placement epoch; see DESIGN.md, "Scheduler hot
+  /// path"), in tasks: one slot holds one
   /// task's per-server volume vector (server_count doubles). Eviction is
   /// deterministic round-robin, so the memory bound is
   /// `comm_memo_slots × server_count × 8` bytes even with 100k+ queued
@@ -113,13 +109,6 @@ struct MlfsConfig {
   /// Run MLF-H only (never switch to the RL policy) — the "MLF-H" series
   /// of Figs. 4/5.
   bool heuristic_only = false;
-
-  /// Reference mode for the hot-path benchmark: disable the comm-volume
-  /// memo and the decorate-sort-undecorate queue ordering, falling back to
-  /// the direct (recompute-per-candidate) implementations. Decisions are
-  /// identical either way; pair with ClusterConfig::incremental_load_index
-  /// = false to measure the full pre-index scheduler.
-  bool legacy_hot_path = false;
 };
 
 }  // namespace mlfs::core

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "common/binio.hpp"
+#include "common/expect.hpp"
 
 namespace mlfs::core {
 
@@ -93,12 +95,14 @@ double MlfPlacement::comm_volume_with_server_topology(const Cluster& cluster, co
 }
 
 const double* MlfPlacement::comm_vector(const Cluster& cluster, const Task& task) const {
-  if (memo_arena_.empty()) {
+  if (memo_slots_.empty()) {
     memo_stride_ = cluster.server_count();
     memo_slots_.assign(std::max<std::size_t>(1, params_.comm_memo_slots), MemoSlot{});
-    memo_arena_.assign(memo_slots_.size() * memo_stride_, 0.0);
+    memo_arena_.reserve(memo_slots_.size() * memo_stride_);
     memo_index_.reserve(memo_slots_.size());
   }
+  // A restored memo carries its own stride; rows must span the fleet.
+  MLFS_EXPECT(memo_stride_ == cluster.server_count());
   // Keyed on the *owning job's* placement epoch: the peer walk below only
   // visits same-job tasks, so other jobs' placements cannot change this
   // vector — the old global-epoch key invalidated on every placement
@@ -113,12 +117,16 @@ const double* MlfPlacement::comm_vector(const Cluster& cluster, const Task& task
     }
   } else {
     // Deterministic round-robin eviction keeps the arena a fixed memory
-    // bound regardless of how many tasks queue up.
+    // bound regardless of how many tasks queue up. Slots fill in ascending
+    // order, so the arena grows one row at a time until it wraps.
     slot = memo_cursor_;
     memo_cursor_ = (memo_cursor_ + 1) % memo_slots_.size();
     if (memo_slots_[slot].task != kInvalidTask) memo_index_.erase(memo_slots_[slot].task);
     memo_index_.emplace(task.id, static_cast<std::uint32_t>(slot));
     memo_slots_[slot].task = task.id;
+    if (memo_arena_.size() < (slot + 1) * memo_stride_) {
+      memo_arena_.resize((slot + 1) * memo_stride_);
+    }
   }
   ++stats_.comm_cache_misses;
   memo_slots_[slot].epoch = epoch;
@@ -158,202 +166,58 @@ const double* MlfPlacement::comm_vector(const Cluster& cluster, const Task& task
 
 std::optional<HostChoice> MlfPlacement::choose_host(const SchedulerContext& ctx, const Task& task,
                                                     bool migrating) const {
-  if (params_.memoize_comm) return choose_host_fast(ctx, task, migrating);
-  const Cluster& cluster = ctx.cluster;
-
-  // Candidate set: underloaded servers (ascending id — the same relative
-  // order a full fleet scan yields) that can host the task without
-  // becoming overloaded (on every resource and the target GPU).
-  struct Candidate {
-    ServerId server;
-    int gpu;
-    ResourceVector util;
-    double comm;  // MB/iteration with tasks already on the server
-  };
-  std::vector<Candidate> candidates;
-  double max_comm = 0.0;
-  cluster.underloaded_servers_into(ctx.hr, scan_buf_);  // reused buffer, no per-call alloc
-  for (const ServerId sid : scan_buf_) {
-    if (migrating && sid == task.server) continue;
-    ++stats_.candidates_scanned;
-    ++stats_.candidates_linear;
-    const Server& s = cluster.server(sid);
-    const int gpu = s.best_fitting_gpu(task, ctx.hr);
-    if (gpu == kNoGpu) continue;
-    Candidate c{sid, gpu, s.utilization(),
-                params_.use_topology
-                    ? comm_volume_with_server_topology(cluster, task, sid,
-                                                       params_.rack_affinity)
-                    : comm_volume_with_server(cluster, task, sid)};
-    max_comm = std::max(max_comm, c.comm);
-    candidates.push_back(std::move(c));
-  }
-  if (candidates.empty()) return std::nullopt;
-
-  // Ideal virtual host: component-wise minimum utilization; maximum
-  // communication volume (normalized); zero movement degradation.
-  ResourceVector ideal_util = candidates.front().util;
-  for (const Candidate& c : candidates) {
-    for (std::size_t i = 0; i < kNumResources; ++i) {
-      ideal_util.at(i) = std::min(ideal_util.at(i), c.util.at(i));
-    }
-  }
-
-  std::vector<double> spread;
-  if (params_.spread_racks) spread = rack_peer_fractions(cluster, task);
-
-  const Candidate* best = nullptr;
-  double best_distance = 0.0;
-  for (const Candidate& c : candidates) {
-    double sq = 0.0;
-    for (std::size_t i = 0; i < kNumResources; ++i) {
-      const double d = c.util.at(i) - ideal_util.at(i);
-      sq += d * d;
-    }
-    if (params_.use_bandwidth && max_comm > 0.0) {
-      const double d = c.comm / max_comm - 1.0;  // ideal = the max
-      sq += d * d;
-    }
-    if (params_.spread_racks) {
-      const double d =
-          params_.spread_penalty * spread[static_cast<std::size_t>(cluster.rack_of(c.server))];
-      sq += d * d;  // ideal = no job siblings in this fault domain
-    }
-    if (migrating) {
-      // Movement degradation q ([10]'s model): minutes of disruption to
-      // transfer the task's state to *this* destination, over the
-      // topology-aware flow bandwidth — cross-rack moves pay the slower
-      // inter-rack share. On a flat network q is one constant for every
-      // candidate, so it shifts all distances uniformly and cannot flip a
-      // choice.
-      const double q = task.state_size_mb /
-                       cluster.flow_bandwidth_between(task.server, c.server) / 60.0;
-      sq += q * q;  // distance of q to its ideal 0
-    }
-    const double distance = std::sqrt(sq);
-    if (best == nullptr || distance < best_distance) {
-      best = &c;
-      best_distance = distance;
-    }
-  }
-  return HostChoice{best->server, best->gpu};
-}
-
-std::optional<HostChoice> MlfPlacement::choose_host_fast(const SchedulerContext& ctx,
-                                                         const Task& task, bool migrating) const {
   const Cluster& cluster = ctx.cluster;
   const double* comm = comm_vector(cluster, task);
 
-  const bool indexed = cluster.config().incremental_load_index;
-  const bool bucketed = indexed && cluster.config().placement_bucket_index;
-
-  // One usage product for the whole candidate loop (the legacy body
-  // recomputes demand × usage_factor inside every feasibility check — the
-  // product is the same value every time, so hoisting cannot change a
-  // fit verdict).
+  // One usage product for the whole candidate loop: it is the same value
+  // Server::fits_usage_without_overload would recompute per candidate.
   const ResourceVector usage = task.demand * task.usage_factor;
   const double u_gpu = usage[Resource::Gpu];
   const double u_cpu = usage[Resource::Cpu];
   const double u_mem = usage[Resource::Mem];
   const double u_net = usage[Resource::Net];
 
-  ResourceVector util_buf;  // scan-mode fallback storage
-  const auto util_of = [&](ServerId sid) -> const ResourceVector& {
-    if (indexed) return cluster.cached_utilization(sid);
-    util_buf = cluster.server(sid).utilization();
-    return util_buf;
-  };
-
-  // Pass 1: feasibility + the ideal host's components. Seeding the
-  // component-wise min from the first feasible candidate matches the
-  // legacy fold exactly (min(x, x) == x).
+  // Pass 1: one linear scan of the underloaded partition (ascending id)
+  // that decides feasibility and folds the ideal host's components.
+  // Seeding the component-wise min from the first feasible candidate is
+  // exact (min(x, x) == x).
   feasible_.clear();
   ResourceVector ideal_util;
-  bool first = true;
   double max_comm = 0.0;
-  if (bucketed) {
-    // Sublinear candidate funnel: the bucket index exact-checks only the
-    // members of buckets that could pass the feasibility comparisons and
-    // returns the feasible set in the linear funnel's ascending order —
-    // identical verdicts, so the folds below run over the identical set
-    // (min/max folds are order-independent anyway).
-    const PlacementIndex& pidx = cluster.placement_index(ctx.hr);
-    const ServerId skip = migrating ? task.server : kInvalidServer;
-    feasible_ids_.clear();
-    stats_.candidates_scanned +=
-        pidx.collect_feasible(ctx.hr, u_gpu, u_cpu, u_mem, u_net, skip, feasible_ids_);
-    // What a linear funnel would have scanned for this query: every
-    // underloaded member (minus the migration self-exclusion) — keeps the
-    // index's win measurable without running the linear path.
-    stats_.candidates_linear +=
-        pidx.member_count() - (skip != kInvalidServer && pidx.is_member(skip) ? 1 : 0);
-    feasible_.reserve(feasible_ids_.size());
-    for (const ServerId sid : feasible_ids_) {
-      const ResourceVector& util = cluster.cached_utilization(sid);
-      if (first) {
-        ideal_util = util;
-        first = false;
-      } else {
-        for (std::size_t i = 0; i < kNumResources; ++i) {
-          ideal_util.at(i) = std::min(ideal_util.at(i), util.at(i));
-        }
-      }
-      max_comm = std::max(max_comm, comm[sid]);
-      feasible_.emplace_back(sid, cluster.cached_least_gpu(sid));
+  const std::vector<ServerId>& under = cluster.underloaded_index(ctx.hr);
+  feasible_.reserve(under.size());
+  for (const ServerId sid : under) {
+    if (migrating && sid == task.server) continue;
+    ++stats_.candidates_scanned;
+    // Feasibility from the load index's refresh-time caches: the
+    // utilization's CPU/MEM/NET components *are* the server's usage sums,
+    // so together with the cached least-loaded GPU load these four
+    // comparisons are exactly Server::fits_usage_without_overload on the
+    // least-loaded GPU (the liveness test is vacuous — the underloaded
+    // partition only holds up servers). And the least-loaded GPU's verdict
+    // decides the server: every other GPU carries load >= the least-loaded
+    // one, and FP addition of the same usage is monotone, so when the
+    // least-loaded GPU overflows hr, so does every other.
+    const ResourceVector& util = cluster.cached_utilization(sid);
+    if (util[Resource::Cpu] + u_cpu > ctx.hr || util[Resource::Mem] + u_mem > ctx.hr ||
+        util[Resource::Net] + u_net > ctx.hr ||
+        cluster.cached_least_gpu_load(sid) + u_gpu > ctx.hr) {
+      continue;
     }
-  } else {
-    // Candidate ids by reference from the index when it is on; the scan
-    // fallback fills a reused buffer (no per-call allocation) with the
-    // same ids in the same ascending order.
-    if (!indexed) cluster.underloaded_servers_into(ctx.hr, scan_buf_);
-    const std::vector<ServerId>& under = indexed ? cluster.underloaded_index(ctx.hr) : scan_buf_;
-    feasible_.reserve(under.size());
-    for (const ServerId sid : under) {
-      if (migrating && sid == task.server) continue;
-      ++stats_.candidates_scanned;
-      ++stats_.candidates_linear;
-      const ResourceVector& util = util_of(sid);
-      int gpu;
-      if (indexed) {
-        // Feasibility from cached data only: the utilization's CPU/MEM/NET
-        // components *are* the server's usage sums, so together with the
-        // cached least-loaded GPU load these four comparisons are exactly
-        // Server::fits_usage_without_overload on the least-loaded GPU (the
-        // liveness test is vacuous — the underloaded partition only holds
-        // up servers). And the least-loaded GPU's verdict decides the
-        // server: every other GPU carries load >= the least-loaded one, and
-        // FP addition of the same usage is monotone, so when the
-        // least-loaded GPU overflows hr, so does every other —
-        // best_fitting_gpu's per-GPU search cannot rescue the candidate
-        // (the profile shows ~80% of candidates are infeasible under
-        // sustained overload, so this single rejection test carries the
-        // hot path).
-        if (util[Resource::Cpu] + u_cpu > ctx.hr || util[Resource::Mem] + u_mem > ctx.hr ||
-            util[Resource::Net] + u_net > ctx.hr ||
-            cluster.cached_least_gpu_load(sid) + u_gpu > ctx.hr) {
-          continue;
-        }
-        gpu = cluster.cached_least_gpu(sid);
-      } else {
-        gpu = cluster.server(sid).best_fitting_gpu_for_usage(usage, ctx.hr);
-        if (gpu == kNoGpu) continue;
+    if (feasible_.empty()) {
+      ideal_util = util;
+    } else {
+      for (std::size_t i = 0; i < kNumResources; ++i) {
+        ideal_util.at(i) = std::min(ideal_util.at(i), util.at(i));
       }
-      if (first) {
-        ideal_util = util;
-        first = false;
-      } else {
-        for (std::size_t i = 0; i < kNumResources; ++i) {
-          ideal_util.at(i) = std::min(ideal_util.at(i), util.at(i));
-        }
-      }
-      max_comm = std::max(max_comm, comm[sid]);
-      feasible_.emplace_back(sid, gpu);
     }
+    max_comm = std::max(max_comm, comm[sid]);
+    feasible_.emplace_back(sid, cluster.cached_least_gpu(sid));
   }
   if (feasible_.empty()) return std::nullopt;
 
-  // Pass 2: identical distance arithmetic to the legacy body, reading the
-  // per-candidate inputs back from the caches instead of a Candidate array.
+  // Pass 2: Euclidean distance of each feasible server to the ideal
+  // virtual host; the first minimum (lowest id) wins.
   std::vector<double> spread;
   if (params_.spread_racks) spread = rack_peer_fractions(cluster, task);
   ServerId best_server = feasible_.front().first;
@@ -361,7 +225,7 @@ std::optional<HostChoice> MlfPlacement::choose_host_fast(const SchedulerContext&
   double best_distance = 0.0;
   bool have_best = false;
   for (const auto& [sid, gpu] : feasible_) {
-    const ResourceVector& util = util_of(sid);
+    const ResourceVector& util = cluster.cached_utilization(sid);
     double sq = 0.0;
     for (std::size_t i = 0; i < kNumResources; ++i) {
       const double d = util.at(i) - ideal_util.at(i);
@@ -377,6 +241,12 @@ std::optional<HostChoice> MlfPlacement::choose_host_fast(const SchedulerContext&
       sq += d * d;  // ideal = no job siblings in this fault domain
     }
     if (migrating) {
+      // Movement degradation q ([10]'s model): minutes of disruption to
+      // transfer the task's state to *this* destination, over the
+      // topology-aware flow bandwidth — cross-rack moves pay the slower
+      // inter-rack share. On a flat network q is one constant for every
+      // candidate, so it shifts all distances uniformly and cannot flip a
+      // choice.
       const double q =
           task.state_size_mb / cluster.flow_bandwidth_between(task.server, sid) / 60.0;
       sq += q * q;  // distance of q to its ideal 0
@@ -408,29 +278,65 @@ void MlfPlacement::save_state(io::BinWriter& w) const {
     for (std::size_t i = 0; i < memo_stride_; ++i) w.f64(begin[i]);
   }
   w.u64(stats_.candidates_scanned);
-  w.u64(stats_.candidates_linear);
   w.u64(stats_.comm_cache_hits);
   w.u64(stats_.comm_cache_misses);
 }
 
 void MlfPlacement::restore_state(io::BinReader& r) {
-  memo_stride_ = static_cast<std::size_t>(r.u64());
-  const std::size_t slot_count = static_cast<std::size_t>(r.u64());
-  memo_cursor_ = static_cast<std::size_t>(r.u64());
-  memo_slots_.assign(slot_count, MemoSlot{});
-  memo_arena_.assign(slot_count * memo_stride_, 0.0);
-  memo_index_.clear();
-  for (std::size_t slot = 0; slot < slot_count; ++slot) {
-    MemoSlot& s = memo_slots_[slot];
+  // Every count is checked before anything is allocated for it: a
+  // checksum-valid but crafted payload must not size the arena or leave a
+  // cursor or slot that comm_vector would index out of range.
+  const auto reject = [](const std::string& detail) {
+    throw ContractViolation("placement snapshot: comm memo " + detail);
+  };
+  const std::uint64_t stride = r.u64();
+  const std::uint64_t slot_count = r.u64();
+  const std::uint64_t cursor = r.u64();
+  const std::size_t capacity = std::max<std::size_t>(1, params_.comm_memo_slots);
+  if (slot_count != 0 && slot_count != capacity) {
+    reject("has " + std::to_string(slot_count) + " slots, expected " + std::to_string(capacity) +
+           " (or 0 for an unused memo)");
+  }
+  if (slot_count == 0 && (stride != 0 || cursor != 0)) {
+    reject("has no slots but a stride or cursor");
+  }
+  if (slot_count != 0 && cursor >= slot_count) {
+    reject("cursor " + std::to_string(cursor) + " out of range for " +
+           std::to_string(slot_count) + " slots");
+  }
+  if (slot_count != 0 && stride == 0) reject("has slots but a zero stride");
+  // A used memo always holds slot 0, so at least one full row follows.
+  if (slot_count != 0 && stride > r.remaining() / sizeof(double)) {
+    reject("row of " + std::to_string(stride) + " doubles exceeds the " +
+           std::to_string(r.remaining()) + " bytes left");
+  }
+  std::vector<MemoSlot> slots(static_cast<std::size_t>(slot_count));
+  std::vector<double> arena;
+  std::unordered_map<TaskId, std::uint32_t> index;
+  std::size_t occupied = 0;  // occupied slots form the prefix [0, occupied)
+  for (std::size_t slot = 0; slot < slots.size(); ++slot) {
+    MemoSlot& s = slots[slot];
     s.task = static_cast<TaskId>(r.u64());
     s.epoch = r.u64();
     if (s.task == kInvalidTask) continue;
-    memo_index_.emplace(s.task, static_cast<std::uint32_t>(slot));
-    double* const begin = memo_arena_.data() + slot * memo_stride_;
-    for (std::size_t i = 0; i < memo_stride_; ++i) begin[i] = r.f64();
+    if (occupied != slot) reject("slot " + std::to_string(slot) + " occupied after a free one");
+    if (!index.emplace(s.task, static_cast<std::uint32_t>(slot)).second) {
+      reject("holds task " + std::to_string(s.task) + " twice");
+    }
+    ++occupied;
+    for (std::uint64_t i = 0; i < stride; ++i) arena.push_back(r.f64());
   }
+  if (occupied < slots.size() && cursor != occupied) {
+    reject("cursor " + std::to_string(cursor) + " does not follow the " +
+           std::to_string(occupied) + " filled slots");
+  }
+  if (slot_count != 0 && occupied == 0) reject("is sized but holds no slot");
+  memo_stride_ = static_cast<std::size_t>(stride);
+  memo_cursor_ = static_cast<std::size_t>(cursor);
+  memo_slots_ = std::move(slots);
+  memo_arena_ = std::move(arena);
+  memo_index_ = std::move(index);
   stats_.candidates_scanned = static_cast<std::size_t>(r.u64());
-  stats_.candidates_linear = static_cast<std::size_t>(r.u64());
   stats_.comm_cache_hits = static_cast<std::size_t>(r.u64());
   stats_.comm_cache_misses = static_cast<std::size_t>(r.u64());
 }

@@ -6,13 +6,13 @@
 // U_V in Euclidean distance. The task lands on that server's best-fitting
 // GPU (the least-loaded one whenever it fits).
 //
-// Hot path: candidates come from the cluster's bucketed placement index
-// (sim/placement_index.hpp) — only buckets that could pass the
-// feasibility check are examined — and the per-(task, server)
+// Hot path (DESIGN.md, "Scheduler hot path"): one linear scan over the
+// cluster's incremental load index — the underloaded partition plus its
+// refresh-time utilization and least-loaded-GPU caches — fuses the
+// feasibility check with the ideal-server fold, and the per-(task, server)
 // communication volumes are memoized in a fixed-capacity arena keyed on
-// the owning job's placement epoch (PlacementParams::memoize_comm). Both
-// are bit-exact with the direct computation (see DESIGN.md, "Scheduler
-// hot path").
+// the owning job's placement epoch. Decisions are pinned by golden
+// event-stream hashes (tests/core/test_hotpath_equivalence.cpp).
 #pragma once
 
 #include <cstdint>
@@ -50,14 +50,16 @@ class MlfPlacement {
   /// cursor, and the occupied slots' volume vectors, in slot order) and
   /// the hot-path counters. The memo must round-trip (not just be
   /// invalidated) so the hit/miss counters — and therefore SchedStats —
-  /// stay bit-identical after restore. `feasible_`/`feasible_ids_`/
-  /// `scan_buf_` are per-call scratch and are not state.
+  /// stay bit-identical after restore. `feasible_` is per-call scratch and
+  /// not state. Restore validates the slot count, cursor and row size
+  /// before allocating and rejects a malformed payload with
+  /// ContractViolation.
   void save_state(io::BinWriter& w) const;
   void restore_state(io::BinReader& r);
 
   /// Total communication volume (MB per iteration) between `task` and the
   /// tasks currently placed on `server` — DAG parent/child edges plus
-  /// all-reduce ring neighbours (public for tests).
+  /// all-reduce ring neighbours (the tests' reference for the memo).
   static double comm_volume_with_server(const Cluster& cluster, const Task& task,
                                         ServerId server);
 
@@ -76,21 +78,12 @@ class MlfPlacement {
   /// exact-zero terms.
   const double* comm_vector(const Cluster& cluster, const Task& task) const;
 
-  /// The memoized hot path of choose_host: same feasibility verdicts, same
-  /// candidate order (ascending id), same distance arithmetic as the
-  /// legacy body — the equivalence tests and the benches enforce that the
-  /// two produce byte-identical decision streams — but candidates come
-  /// from the cluster's bucketed placement index (exact-check only the
-  /// unprunable buckets), utilizations from the refresh-time cache, comm
-  /// volumes from the arena memo, and reused scratch vectors.
-  std::optional<HostChoice> choose_host_fast(const SchedulerContext& ctx, const Task& task,
-                                             bool migrating) const;
-
   PlacementParams params_;
 
   /// Comm-memo arena: `comm_memo_slots` slots × server_count doubles, one
-  /// slot per task, deterministic round-robin eviction (lazily sized on
-  /// first use; the stride is fixed for the cluster's lifetime).
+  /// slot per task, deterministic round-robin eviction. Slots fill in
+  /// ascending order, so the arena grows one row per new slot until the
+  /// cursor wraps; the stride is fixed for the cluster's lifetime.
   struct MemoSlot {
     TaskId task = kInvalidTask;
     std::uint64_t epoch = 0;  ///< owning job's placement epoch at fill time
@@ -101,9 +94,7 @@ class MlfPlacement {
   mutable std::unordered_map<TaskId, std::uint32_t> memo_index_;  ///< task -> slot
   mutable std::size_t memo_cursor_ = 0;
 
-  mutable std::vector<std::pair<ServerId, int>> feasible_;  ///< choose_host_fast scratch
-  mutable std::vector<ServerId> feasible_ids_;              ///< bucket-index scratch
-  mutable std::vector<ServerId> scan_buf_;                  ///< scan-mode candidate buffer
+  mutable std::vector<std::pair<ServerId, int>> feasible_;  ///< choose_host scratch
   mutable SchedStats stats_;
 };
 

@@ -81,8 +81,6 @@ FuzzCase generate_case(std::uint64_t master_seed, std::uint64_t index,
   }
   c.checkpoint_interval = static_cast<int>(rng.uniform_int(1, 8));
 
-  c.incremental_load_index = !rng.bernoulli(0.15);
-  c.legacy_hot_path = rng.bernoulli(0.15);
   // Sometimes let the RL-backed schedulers actually switch to the policy
   // on a small case (the default warm-up never triggers at fuzz sizes).
   if (rng.bernoulli(0.3)) {
@@ -104,11 +102,8 @@ FuzzCase generate_case(std::uint64_t master_seed, std::uint64_t index,
     c.snapshot_check = true;
     c.snapshot_event = rng.next_u64();
   }
-  // Placement-index dimensions: newest draws, appended last (prefix rule).
-  c.placement_bucket_index = !rng.bernoulli(0.2);
-  if (rng.bernoulli(0.4)) {
-    c.placement_index_buckets = static_cast<int>(rng.uniform_int(1, 64));
-  }
+  // Placement hot-path dimensions: appended after the blocks above (prefix
+  // rule).
   if (rng.bernoulli(0.3)) {
     c.comm_memo_slots = static_cast<std::size_t>(rng.uniform_int(1, 16));
   }
@@ -119,17 +114,13 @@ FuzzCase generate_case(std::uint64_t master_seed, std::uint64_t index,
         static_cast<int>(c.servers), static_cast<int>(c.servers) * c.gpus_per_server));
     clamp_gpu_request(c);
   }
-  if (c.placement_bucket_index && !c.snapshot_check && rng.bernoulli(0.3)) {
-    c.index_equivalence_check = true;
-  }
   // Prediction-service dimensions: newest draws, appended last (prefix
   // rule). The equivalence rerun is skipped alongside snapshot_check (that
-  // case already runs three engines) and alongside index_equivalence_check
-  // (one flag-flip rerun per case keeps the sweep's cost linear).
+  // case already runs three engines; one rerun per case keeps the sweep's
+  // cost linear).
   c.predict_enabled = !rng.bernoulli(0.2);
   if (c.predict_enabled && rng.bernoulli(0.2)) c.coarsen_curve = true;
-  if (c.predict_enabled && !c.snapshot_check && !c.index_equivalence_check &&
-      rng.bernoulli(0.3)) {
+  if (c.predict_enabled && !c.snapshot_check && rng.bernoulli(0.3)) {
     c.service_equivalence_check = true;
   }
   // Link-contention dimensions: newest draws, appended last (prefix rule).
@@ -142,8 +133,7 @@ FuzzCase generate_case(std::uint64_t master_seed, std::uint64_t index,
   // Crash-recovery dimension: newest draws, appended last (prefix rule).
   // Skipped alongside the other multi-engine reruns so the sweep's cost
   // stays linear in the case count.
-  if (!c.snapshot_check && !c.index_equivalence_check && !c.service_equivalence_check &&
-      rng.bernoulli(0.15)) {
+  if (!c.snapshot_check && !c.service_equivalence_check && rng.bernoulli(0.15)) {
     c.crash_check = true;
     c.crash_event = rng.next_u64();
     c.stream_jobs = static_cast<std::size_t>(rng.uniform_int(0, 3));
@@ -159,9 +149,6 @@ RunRequest to_request(const FuzzCase& c) {
   r.cluster.servers_per_rack = c.servers_per_rack;
   r.cluster.slow_server_fraction = c.slow_fraction;
   r.cluster.total_gpus = c.total_gpus;
-  r.cluster.incremental_load_index = c.incremental_load_index;
-  r.cluster.placement_bucket_index = c.placement_bucket_index;
-  r.cluster.placement_index_buckets = c.placement_index_buckets;
   r.cluster.debug_slot_leak = c.inject_slot_leak;
   r.cluster.link_contention = c.link_contention;
   r.cluster.nic_capacity_mbps = c.nic_capacity_mbps;
@@ -192,7 +179,6 @@ RunRequest to_request(const FuzzCase& c) {
   r.trace.seed = c.trace_seed;
   r.trace.max_gpu_request = c.max_gpu_request;
   r.scheduler = c.scheduler;
-  r.mlfs_config.legacy_hot_path = c.legacy_hot_path;
   r.mlfs_config.placement.comm_memo_slots = c.comm_memo_slots;
   r.mlfs_config.rl.warmup_samples = c.rl_warmup_samples;
   return r;
@@ -217,13 +203,8 @@ std::string describe(const FuzzCase& c) {
     if (c.adaptive_checkpoint) out << ", adaptive-ckpt";
     if (c.spread_placement) out << ", spread";
   }
-  if (c.legacy_hot_path) out << ", legacy-hotpath";
-  if (!c.incremental_load_index) out << ", scan-index";
-  if (!c.placement_bucket_index) out << ", no-bucket-index";
-  if (c.placement_index_buckets != 512) out << ", buckets=" << c.placement_index_buckets;
   if (c.comm_memo_slots != 4096) out << ", memo-slots=" << c.comm_memo_slots;
   if (c.total_gpus > 0) out << ", total-gpus=" << c.total_gpus;
-  if (c.index_equivalence_check) out << ", index-equivalence";
   if (!c.predict_enabled) out << ", legacy-curve-fit";
   if (c.coarsen_curve) out << ", coarsen-curve";
   if (c.service_equivalence_check) out << ", service-equivalence";
@@ -272,17 +253,12 @@ std::string serialize(const FuzzCase& c) {
       << "retry_budget=" << c.retry_budget << "\n"
       << "adaptive_checkpoint=" << (c.adaptive_checkpoint ? 1 : 0) << "\n"
       << "spread_placement=" << (c.spread_placement ? 1 : 0) << "\n"
-      << "incremental_load_index=" << (c.incremental_load_index ? 1 : 0) << "\n"
-      << "legacy_hot_path=" << (c.legacy_hot_path ? 1 : 0) << "\n"
       << "rl_warmup_samples=" << c.rl_warmup_samples << "\n"
       << "audit_stride=" << c.audit_stride << "\n"
       << "snapshot_check=" << (c.snapshot_check ? 1 : 0) << "\n"
       << "snapshot_event=" << c.snapshot_event << "\n"
-      << "placement_bucket_index=" << (c.placement_bucket_index ? 1 : 0) << "\n"
-      << "placement_index_buckets=" << c.placement_index_buckets << "\n"
       << "comm_memo_slots=" << c.comm_memo_slots << "\n"
       << "total_gpus=" << c.total_gpus << "\n"
-      << "index_equivalence_check=" << (c.index_equivalence_check ? 1 : 0) << "\n"
       << "predict_enabled=" << (c.predict_enabled ? 1 : 0) << "\n"
       << "coarsen_curve=" << (c.coarsen_curve ? 1 : 0) << "\n"
       << "service_equivalence_check=" << (c.service_equivalence_check ? 1 : 0) << "\n"
@@ -338,17 +314,12 @@ FuzzCase parse_fuzz_case(std::istream& in) {
     else if (key == "retry_budget") c.retry_budget = static_cast<int>(u64());
     else if (key == "adaptive_checkpoint") c.adaptive_checkpoint = flag();
     else if (key == "spread_placement") c.spread_placement = flag();
-    else if (key == "incremental_load_index") c.incremental_load_index = flag();
-    else if (key == "legacy_hot_path") c.legacy_hot_path = flag();
     else if (key == "rl_warmup_samples") c.rl_warmup_samples = static_cast<std::size_t>(u64());
     else if (key == "audit_stride") c.audit_stride = static_cast<int>(u64());
     else if (key == "snapshot_check") c.snapshot_check = flag();
     else if (key == "snapshot_event") c.snapshot_event = u64();
-    else if (key == "placement_bucket_index") c.placement_bucket_index = flag();
-    else if (key == "placement_index_buckets") c.placement_index_buckets = static_cast<int>(u64());
     else if (key == "comm_memo_slots") c.comm_memo_slots = static_cast<std::size_t>(u64());
     else if (key == "total_gpus") c.total_gpus = static_cast<std::size_t>(u64());
-    else if (key == "index_equivalence_check") c.index_equivalence_check = flag();
     else if (key == "predict_enabled") c.predict_enabled = flag();
     else if (key == "coarsen_curve") c.coarsen_curve = flag();
     else if (key == "service_equivalence_check") c.service_equivalence_check = flag();
@@ -394,31 +365,6 @@ std::optional<FuzzFailure> run_fuzz_case(const FuzzCase& c, bool check_determini
       return std::nullopt;
     }
     const RunMetrics first = execute_run(request);
-    if (c.index_equivalence_check && c.incremental_load_index && c.placement_bucket_index) {
-      // Index-vs-scan equivalence: the bucketed funnel must make the exact
-      // decisions of the linear one (same event stream) and account for the
-      // same linear-candidate population.
-      RunRequest scan = request;
-      scan.cluster.placement_bucket_index = false;
-      const RunMetrics linear = execute_run(scan);
-      std::ostringstream diff;
-      if (first.event_stream_hash != linear.event_stream_hash) {
-        diff << "event_stream_hash " << first.event_stream_hash << " vs "
-             << linear.event_stream_hash << "; ";
-      }
-      if (first.makespan_hours != linear.makespan_hours) diff << "makespan diverged; ";
-      if (first.migrations != linear.migrations) diff << "migrations diverged; ";
-      if (first.preemptions != linear.preemptions) diff << "preemptions diverged; ";
-      if (first.iterations_run != linear.iterations_run) diff << "iterations diverged; ";
-      if (first.candidates_linear != linear.candidates_linear) {
-        diff << "candidates_linear " << first.candidates_linear << " vs "
-             << linear.candidates_linear << "; ";
-      }
-      if (!diff.str().empty()) {
-        return FuzzFailure{c, "index-equivalence",
-                           "bucket index vs linear scan: " + diff.str()};
-      }
-    }
     if (c.service_equivalence_check && c.predict_enabled) {
       // Service-vs-legacy equivalence: the memoized, warm-started service
       // must make byte-identical decisions to the stateless cold-fit path
@@ -493,13 +439,9 @@ ShrinkResult shrink_case(const FuzzCase& original, const FuzzFailure& original_f
       [](FuzzCase& c) { c.checkpoint_interval = 1; },
       [](FuzzCase& c) { c.duration_hours = std::max(0.05, c.duration_hours / 2.0); },
       [](FuzzCase& c) { c.max_sim_hours = std::max(1.0, c.max_sim_hours / 2.0); },
-      [](FuzzCase& c) { c.legacy_hot_path = false; c.incremental_load_index = true; },
-      // Placement-index dimensions shrink toward the uniform defaults; the
-      // bucket flag itself stays (flipping it off would dissolve an
-      // index-equivalence failure rather than minimize it).
+      // Placement hot-path dimensions shrink toward the uniform defaults.
       [](FuzzCase& c) { c.comm_memo_slots = 4096; },
       [](FuzzCase& c) { c.total_gpus = 0; clamp_gpu_request(c); },
-      [](FuzzCase& c) { c.placement_index_buckets = std::max(1, c.placement_index_buckets / 2); },
       // Earlier snapshot cuts make a surviving "snapshot-restore" failure
       // easier to replay (fewer pre-snapshot events). The cut index, not
       // the flag, shrinks: dropping snapshot_check would change the failing
@@ -507,7 +449,7 @@ ShrinkResult shrink_case(const FuzzCase& original, const FuzzFailure& original_f
       [](FuzzCase& c) { c.snapshot_event /= 2; },
       // Prediction-service dimensions shrink toward the defaults (service
       // on, no coarsening); a "service-equivalence" failure keeps its
-      // rerun flag the same way index-equivalence keeps the bucket index.
+      // rerun flag so the shrink cannot dissolve the failure.
       [](FuzzCase& c) { c.coarsen_curve = false; },
       [](FuzzCase& c) { c.predict_enabled = true; },
       // Link-contention dimensions shrink toward the defaults. Dropping

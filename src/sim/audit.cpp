@@ -280,10 +280,12 @@ void SimAuditor::check_servers_and_tasks() const {
 
 void SimAuditor::check_load_index() const {
   const Cluster& cluster = engine_.cluster_;
-  if (!cluster.config().incremental_load_index || !cluster.index_valid_) return;
+  if (!cluster.index_valid_) return;
   const std::size_t n = cluster.server_count();
   if (cluster.index_overloaded_.size() != n || cluster.index_underloaded_.size() != n ||
-      cluster.index_slots_.size() != n || cluster.index_dirty_.size() != n) {
+      cluster.index_slots_.size() != n || cluster.index_dirty_.size() != n ||
+      cluster.index_util_.size() != n || cluster.index_least_gpu_.size() != n ||
+      cluster.index_least_load_.size() != n) {
     fail("load-index", "index arrays not sized to the fleet");
   }
   // Partition id vectors: sorted ascending, mirror the flag arrays.
@@ -372,64 +374,6 @@ void SimAuditor::check_load_index() const {
                            " != sum of per-server estimates " + std::to_string(total_slots));
   }
 
-  // Bucketed placement index: must mirror the underloaded partition and
-  // the refresh-time load caches exactly, with every member filed in the
-  // bucket its load maps to (so a reindex that changed a load actually
-  // moved the server where the query will look for it).
-  if (!cluster.config().placement_bucket_index) return;
-  const PlacementIndex& pidx = cluster.pindex_;
-  if (!pidx.initialized() || pidx.server_count() != n) {
-    fail("placement-index", "bucket index not sized to the fleet");
-  }
-  if (pidx.hr() != cluster.index_hr_ ||
-      pidx.bucket_count() != cluster.config().placement_index_buckets) {
-    fail("placement-index", "bucket index key (hr / bucket count) diverged from the load index");
-  }
-  std::size_t members = 0;
-  for (ServerId id = 0; id < n; ++id) {
-    const bool under = cluster.index_underloaded_[id] != 0;
-    if (pidx.is_member(id) != under) {
-      fail("placement-index", "server " + std::to_string(id) +
-                                  ": bucket membership disagrees with the underloaded partition");
-    }
-    if (!under) {
-      // Non-members must carry the -1 sentinel so a stale bucket id can
-      // never satisfy a query's cutoff compares.
-      for (int d = 0; d < PlacementIndex::kDims; ++d) {
-        if (pidx.bucket_of(d, id) != -1) {
-          fail("placement-index", "server " + std::to_string(id) + " dim " + std::to_string(d) +
-                                      ": non-member still carries bucket id " +
-                                      std::to_string(pidx.bucket_of(d, id)));
-        }
-      }
-      continue;
-    }
-    ++members;
-    const double loads[PlacementIndex::kDims] = {
-        cluster.index_least_load_[id], cluster.index_util_[id][Resource::Cpu],
-        cluster.index_util_[id][Resource::Mem], cluster.index_util_[id][Resource::Net]};
-    for (int d = 0; d < PlacementIndex::kDims; ++d) {
-      if (pidx.load_of(d, id) != loads[d]) {
-        fail("placement-index", "server " + std::to_string(id) + " dim " + std::to_string(d) +
-                                    ": indexed load diverged from the refresh-time cache");
-      }
-      const int b = pidx.bucket_of(d, id);
-      if (b != pidx.bucket_for_load(loads[d])) {
-        fail("placement-index", "server " + std::to_string(id) + " dim " + std::to_string(d) +
-                                    ": filed in bucket " + std::to_string(b) +
-                                    " but its load maps to bucket " +
-                                    std::to_string(pidx.bucket_for_load(loads[d])));
-      }
-      if (b < 0 || b >= pidx.bucket_count()) {
-        fail("placement-index", "server " + std::to_string(id) + " dim " + std::to_string(d) +
-                                    ": bucket id " + std::to_string(b) + " out of range");
-      }
-    }
-  }
-  if (members != pidx.member_count()) {
-    fail("placement-index", "member count " + std::to_string(pidx.member_count()) +
-                                " != underloaded partition size " + std::to_string(members));
-  }
 }
 
 // ---------------------------------------------------------- queue

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/expect.hpp"
 #include "workload/model_zoo.hpp"
@@ -97,7 +98,6 @@ void Cluster::refresh_load_index(double hr, double typical_demand) const {
     v.erase(it);
   };
 
-  const bool bucketed = config_.placement_bucket_index;
   if (!index_valid_ || hr != index_hr_ || typical_demand != index_demand_) {
     // First query, or the query key changed: evaluate the whole fleet.
     ++index_stats_.full_rebuilds;
@@ -115,7 +115,6 @@ void Cluster::refresh_load_index(double hr, double typical_demand) const {
     index_total_slots_ = 0;
     underloaded_ids_.clear();
     overloaded_ids_.clear();
-    if (bucketed) pindex_.reset(servers_.size(), hr, config_.placement_index_buckets);
     for (const Server& s : servers_) {
       const bool over = s.up() && s.overloaded(hr);
       const bool under = s.accepts_placements() && !over;
@@ -130,11 +129,6 @@ void Cluster::refresh_load_index(double hr, double typical_demand) const {
       const int slots = s.up() ? server_slot_estimate(s, hr, typical_demand) : 0;
       index_slots_[s.id()] = slots;
       index_total_slots_ += slots;
-      if (bucketed) {
-        pindex_.set_server(s.id(), under, index_least_load_[s.id()],
-                           index_util_[s.id()][Resource::Cpu], index_util_[s.id()][Resource::Mem],
-                           index_util_[s.id()][Resource::Net]);
-      }
     }
     index_valid_ = true;
     return;
@@ -155,7 +149,7 @@ void Cluster::refresh_load_index(double hr, double typical_demand) const {
     // back between refreshing queries) dirties servers whose state nets
     // back to the exact same doubles. Recomputing is unavoidable — the
     // dirty bit only says "maybe changed" — but identical state needs no
-    // partition or bucket surgery, and counting it as a reindex made
+    // partition surgery, and counting it as a reindex made
     // `servers_reindexed` grow ~45x faster than scheduling rounds.
     if (over == (index_overloaded_[id] != 0) && under == (index_underloaded_[id] != 0) &&
         slots == index_slots_[id] && least == index_least_gpu_[id] &&
@@ -182,10 +176,6 @@ void Cluster::refresh_load_index(double hr, double typical_demand) const {
       else erase_sorted(underloaded_ids_, id);
       index_underloaded_[id] = under ? 1 : 0;
     }
-    if (bucketed) {
-      pindex_.set_server(id, under, least_load, util[Resource::Cpu], util[Resource::Mem],
-                         util[Resource::Net]);
-    }
   }
   index_dirty_ids_.clear();
 }
@@ -199,51 +189,17 @@ std::size_t Cluster::up_server_count() const {
 }
 
 std::vector<ServerId> Cluster::underloaded_servers(double hr) const {
-  if (config_.incremental_load_index) {
-    refresh_load_index(hr, index_demand_);
-    return underloaded_ids_;
-  }
-  std::vector<ServerId> out;
-  for (const Server& s : servers_) {
-    if (s.accepts_placements() && !s.overloaded(hr)) out.push_back(s.id());
-  }
-  return out;
-}
-
-void Cluster::underloaded_servers_into(double hr, std::vector<ServerId>& out) const {
-  out.clear();
-  if (config_.incremental_load_index) {
-    refresh_load_index(hr, index_demand_);
-    out.assign(underloaded_ids_.begin(), underloaded_ids_.end());
-    return;
-  }
-  for (const Server& s : servers_) {
-    if (s.accepts_placements() && !s.overloaded(hr)) out.push_back(s.id());
-  }
+  return underloaded_index(hr);
 }
 
 const std::vector<ServerId>& Cluster::underloaded_index(double hr) const {
-  MLFS_EXPECT(config_.incremental_load_index);
   refresh_load_index(hr, index_demand_);
   return underloaded_ids_;
 }
 
-const PlacementIndex& Cluster::placement_index(double hr) const {
-  MLFS_EXPECT(config_.incremental_load_index && config_.placement_bucket_index);
-  refresh_load_index(hr, index_demand_);
-  return pindex_;
-}
-
 std::vector<ServerId> Cluster::overloaded_servers(double hr) const {
-  if (config_.incremental_load_index) {
-    refresh_load_index(hr, index_demand_);
-    return overloaded_ids_;
-  }
-  std::vector<ServerId> out;
-  for (const Server& s : servers_) {
-    if (s.up() && s.overloaded(hr)) out.push_back(s.id());
-  }
-  return out;
+  refresh_load_index(hr, index_demand_);
+  return overloaded_ids_;
 }
 
 double Cluster::overload_degree() const {
@@ -258,15 +214,8 @@ double Cluster::overload_degree() const {
 }
 
 int Cluster::estimate_free_worker_slots(double hr, double typical_demand) const {
-  if (config_.incremental_load_index) {
-    refresh_load_index(hr, typical_demand);
-    return static_cast<int>(index_total_slots_);
-  }
-  int slots = 0;
-  for (const Server& s : servers_) {
-    if (s.up()) slots += server_slot_estimate(s, hr, typical_demand);
-  }
-  return slots;
+  refresh_load_index(hr, typical_demand);
+  return static_cast<int>(index_total_slots_);
 }
 
 void Cluster::register_job(Job job, std::vector<Task> tasks) {
@@ -500,8 +449,47 @@ void write_id_vector(io::BinWriter& w, const std::vector<ServerId>& ids) {
   w.vec(ids, [&w](ServerId id) { w.u64(id); });
 }
 
-std::vector<ServerId> read_id_vector(io::BinReader& r) {
-  return r.vec<ServerId>([&r] { return static_cast<ServerId>(r.u64()); });
+[[noreturn]] void reject_index(const std::string& detail) {
+  throw ContractViolation("cluster snapshot: load index " + detail);
+}
+
+/// Reads a per-server array whose length must be exactly `expected`. The
+/// length is checked before anything is allocated for the array.
+template <typename T, typename ReadOne>
+std::vector<T> read_server_array(io::BinReader& r, std::size_t expected, const char* what,
+                                 const ReadOne& read_one) {
+  const std::uint64_t n = r.u64();
+  if (n != expected) {
+    reject_index(std::string(what) + " has " + std::to_string(n) + " entries, expected " +
+                 std::to_string(expected));
+  }
+  std::vector<T> v;
+  v.reserve(expected);
+  for (std::size_t i = 0; i < expected; ++i) v.push_back(read_one());
+  return v;
+}
+
+/// Reads a server-id set that must be strictly ascending and in range (so
+/// it can never hold more than `server_count` ids).
+std::vector<ServerId> read_id_set(io::BinReader& r, std::size_t server_count, const char* what) {
+  const std::uint64_t n = r.u64();
+  if (n > server_count) {
+    reject_index(std::string(what) + " lists " + std::to_string(n) + " ids for " +
+                 std::to_string(server_count) + " servers");
+  }
+  std::vector<ServerId> ids;
+  ids.reserve(static_cast<std::size_t>(n));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t id = r.u64();
+    if (id >= server_count) {
+      reject_index(std::string(what) + " id " + std::to_string(id) + " out of range");
+    }
+    if (!ids.empty() && id <= ids.back()) {
+      reject_index(std::string(what) + " not strictly ascending at id " + std::to_string(id));
+    }
+    ids.push_back(static_cast<ServerId>(id));
+  }
+  return ids;
 }
 
 }  // namespace
@@ -535,17 +523,20 @@ void Cluster::save_state(io::BinWriter& w) const {
 
   // Lazy load index, wholesale: restoring "invalid, rebuild on first use"
   // instead would change the full_rebuilds/refreshes trajectory and break
-  // bit-identical RunMetrics.
+  // bit-identical RunMetrics. The dirty list is written ascending: refresh
+  // results do not depend on its order, and a canonical order lets restore
+  // reject duplicates.
   w.boolean(index_valid_);
   w.f64(index_hr_);
   w.f64(index_demand_);
   w.vec(index_dirty_, [&w](char c) { w.u8(static_cast<std::uint8_t>(c)); });
-  write_id_vector(w, index_dirty_ids_);
+  std::vector<ServerId> dirty_ids = index_dirty_ids_;
+  std::sort(dirty_ids.begin(), dirty_ids.end());
+  write_id_vector(w, dirty_ids);
   w.vec(index_overloaded_, [&w](char c) { w.u8(static_cast<std::uint8_t>(c)); });
   w.vec(index_underloaded_, [&w](char c) { w.u8(static_cast<std::uint8_t>(c)); });
   w.vec(index_slots_, [&w](int v) { w.i64(v); });
-  w.u64(index_util_.size());
-  for (const ResourceVector& v : index_util_) write_resource_vector(w, v);
+  w.vec(index_util_, [&w](const ResourceVector& v) { write_resource_vector(w, v); });
   w.vec(index_least_gpu_, [&w](int v) { w.i64(v); });
   w.vec_f64(index_least_load_);
   w.i64(index_total_slots_);
@@ -555,9 +546,6 @@ void Cluster::save_state(io::BinWriter& w) const {
   w.u64(index_stats_.refreshes);
   w.u64(index_stats_.servers_reindexed);
   w.u64(index_stats_.noop_reindexes);
-  // The bucket index mirrors the refresh-time caches above bit for bit, so
-  // only its query counters are written; restore rebuilds the structure.
-  pindex_.save_state(w);
 }
 
 void Cluster::restore_state(io::BinReader& r) {
@@ -591,40 +579,51 @@ void Cluster::restore_state(io::BinReader& r) {
   MLFS_EXPECT(job_placement_epochs_.size() == jobs_.size());
   debug_unplace_count_ = static_cast<std::size_t>(r.u64());
 
-  index_valid_ = r.boolean();
-  index_hr_ = r.f64();
-  index_demand_ = r.f64();
-  index_dirty_ = r.vec<char>([&r] { return static_cast<char>(r.u8()); });
-  index_dirty_ids_ = read_id_vector(r);
-  index_overloaded_ = r.vec<char>([&r] { return static_cast<char>(r.u8()); });
-  index_underloaded_ = r.vec<char>([&r] { return static_cast<char>(r.u8()); });
-  index_slots_ = r.vec<int>([&r] { return static_cast<int>(r.i64()); });
-  const std::uint64_t util_count = r.u64();
-  index_util_.clear();
-  index_util_.reserve(static_cast<std::size_t>(util_count));
-  for (std::uint64_t i = 0; i < util_count; ++i) index_util_.push_back(read_resource_vector(r));
-  index_least_gpu_ = r.vec<int>([&r] { return static_cast<int>(r.i64()); });
-  index_least_load_ = r.vec_f64();
-  index_total_slots_ = static_cast<long long>(r.i64());
-  underloaded_ids_ = read_id_vector(r);
-  overloaded_ids_ = read_id_vector(r);
-  index_stats_.full_rebuilds = static_cast<std::size_t>(r.u64());
-  index_stats_.refreshes = static_cast<std::size_t>(r.u64());
-  index_stats_.servers_reindexed = static_cast<std::size_t>(r.u64());
-  index_stats_.noop_reindexes = static_cast<std::size_t>(r.u64());
-  // Rebuild the bucket index from the restored caches it mirrors. Bucket
-  // membership and values come out identical to the saving cluster's, so
-  // every post-restore query examines the same servers and returns the
-  // same candidates.
-  if (config_.placement_bucket_index && index_valid_) {
-    pindex_.reset(servers_.size(), index_hr_, config_.placement_index_buckets);
-    for (ServerId id = 0; id < servers_.size(); ++id) {
-      pindex_.set_server(id, index_underloaded_[id] != 0, index_least_load_[id],
-                         index_util_[id][Resource::Cpu], index_util_[id][Resource::Mem],
-                         index_util_[id][Resource::Net]);
-    }
-  }
-  pindex_.restore_state(r);
+  // Load index: everything is read into locals and checked against the
+  // fleet before it is adopted, so a checksum-valid but crafted payload can
+  // neither size an allocation nor plant an out-of-range id. An index that
+  // was never primed carries empty per-server arrays.
+  const bool valid = r.boolean();
+  const double hr = r.f64();
+  const double demand = r.f64();
+  const std::size_t n = servers_.size();
+  const std::size_t per_server = valid ? n : 0;
+  const auto read_flag = [&r] { return static_cast<char>(r.u8()); };
+  const auto read_int = [&r] { return static_cast<int>(r.i64()); };
+  auto dirty = read_server_array<char>(r, per_server, "dirty flags", read_flag);
+  auto dirty_ids = read_id_set(r, per_server, "dirty list");
+  auto overloaded = read_server_array<char>(r, per_server, "overload flags", read_flag);
+  auto underloaded = read_server_array<char>(r, per_server, "underload flags", read_flag);
+  auto slots = read_server_array<int>(r, per_server, "slot estimates", read_int);
+  auto util = read_server_array<ResourceVector>(r, per_server, "utilizations",
+                                                [&r] { return read_resource_vector(r); });
+  auto least_gpu = read_server_array<int>(r, per_server, "least-loaded GPUs", read_int);
+  auto least_load = read_server_array<double>(r, per_server, "least-loaded GPU loads",
+                                              [&r] { return r.f64(); });
+  const long long total_slots = static_cast<long long>(r.i64());
+  auto under_ids = read_id_set(r, per_server, "underloaded partition");
+  auto over_ids = read_id_set(r, per_server, "overloaded partition");
+  LoadIndexStats stats;
+  stats.full_rebuilds = static_cast<std::size_t>(r.u64());
+  stats.refreshes = static_cast<std::size_t>(r.u64());
+  stats.servers_reindexed = static_cast<std::size_t>(r.u64());
+  stats.noop_reindexes = static_cast<std::size_t>(r.u64());
+
+  index_valid_ = valid;
+  index_hr_ = hr;
+  index_demand_ = demand;
+  index_dirty_ = std::move(dirty);
+  index_dirty_ids_ = std::move(dirty_ids);
+  index_overloaded_ = std::move(overloaded);
+  index_underloaded_ = std::move(underloaded);
+  index_slots_ = std::move(slots);
+  index_util_ = std::move(util);
+  index_least_gpu_ = std::move(least_gpu);
+  index_least_load_ = std::move(least_load);
+  index_total_slots_ = total_slots;
+  underloaded_ids_ = std::move(under_ids);
+  overloaded_ids_ = std::move(over_ids);
+  index_stats_ = stats;
 }
 
 }  // namespace mlfs

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "sim/link_model.hpp"
-#include "sim/placement_index.hpp"
 #include "sim/server.hpp"
 #include "workload/job.hpp"
 
@@ -40,29 +39,6 @@ struct ClusterConfig {
   /// deterministic: the *last* ceil(fraction × N) servers are slow.
   double slow_server_fraction = 0.0;
   double slow_server_speed = 0.5;
-
-  /// Incremental load index (see DESIGN.md, "Scheduler hot path"): serve
-  /// overload/underload partitions and the free-slot estimate from
-  /// dirty-tracked per-server state instead of full fleet scans. Decisions
-  /// are identical either way; `false` keeps the reference scan
-  /// implementation for equivalence tests and the hot-path benchmark.
-  bool incremental_load_index = true;
-
-  /// Bucketed feasibility index over the underloaded partition (see
-  /// sim/placement_index.hpp): placement queries examine only the buckets
-  /// that could pass the feasibility check instead of every underloaded
-  /// server. Decisions are byte-identical either way (the pruned servers
-  /// provably fail the exact check); `false` keeps the linear funnel for
-  /// the equivalence tests and the large-scale benchmark's reference leg.
-  /// Requires `incremental_load_index` (ignored without it).
-  bool placement_bucket_index = true;
-  /// Buckets per indexed load dimension (4 dimensions: least-GPU load and
-  /// the CPU/MEM/NET sums). Members strictly inside the per-dimension
-  /// cutoffs are accepted or rejected wholesale; only the cutoff
-  /// (boundary) buckets still take exact checks, so more buckets narrow
-  /// the band that counts toward candidates_scanned at a slightly higher
-  /// per-query fixed cost.
-  int placement_index_buckets = 512;
 
   /// Deliberate slot-conservation bug for auditor self-tests: every 7th
   /// unplace leaks the departing task's usage back onto its server, so the
@@ -112,8 +88,8 @@ struct LoadIndexStats {
   std::size_t servers_reindexed = 0;  ///< per-server re-evaluations that changed cached state
   /// Dirty servers whose recomputed state matched the cache exactly (e.g.
   /// a gang placed and rolled back between refreshing queries) — detected
-  /// by compare-and-skip, so they cost a recompute but no partition or
-  /// bucket surgery and no longer inflate `servers_reindexed`.
+  /// by compare-and-skip, so they cost a recompute but no partition
+  /// surgery and no longer inflate `servers_reindexed`.
   std::size_t noop_reindexes = 0;
 };
 
@@ -156,18 +132,13 @@ class Cluster {
   /// overloaded w.r.t. `hr`, ascending. With all placement caps at the
   /// default -1 this is exactly "up and not overloaded".
   std::vector<ServerId> underloaded_servers(double hr) const;
-  /// Same ids in the same order as underloaded_servers, written into `out`
-  /// (cleared first) so per-call reuse of the buffer avoids reallocating
-  /// the id vector on every placement query in scan mode.
-  void underloaded_servers_into(double hr, std::vector<ServerId>& out) const;
   /// Up server ids overloaded w.r.t. `hr`, ascending (quarantined servers
   /// stay visible here: overload relief must still drain them).
   std::vector<ServerId> overloaded_servers(double hr) const;
 
   /// Reference view of the underloaded partition (same ids, same ascending
   /// order as underloaded_servers) — avoids copying the id vector on every
-  /// placement call. Requires the incremental index; valid until the next
-  /// cluster mutation.
+  /// placement call. Valid until the next cluster mutation.
   const std::vector<ServerId>& underloaded_index(double hr) const;
 
   /// Utilization of `id` as of the last index refresh — bit-identical to
@@ -198,15 +169,7 @@ class Cluster {
   /// placement anywhere, collapsing the hit rate as the fleet grew.
   std::uint64_t job_placement_epoch(JobId id) const { return job_placement_epochs_[id]; }
 
-  /// The bucketed feasibility index, refreshed for `hr` (see
-  /// sim/placement_index.hpp). Only meaningful when both
-  /// `incremental_load_index` and `placement_bucket_index` are on.
-  const PlacementIndex& placement_index(double hr) const;
-  /// Its query counters (zeros while the bucket index is off).
-  const PlacementIndexStats& placement_index_stats() const { return pindex_.stats(); }
-
-  /// Instrumentation counters of the incremental load index (zeros while
-  /// `ClusterConfig::incremental_load_index` is off).
+  /// Instrumentation counters of the incremental load index.
   const LoadIndexStats& load_index_stats() const { return index_stats_; }
 
   /// Cluster overload degree O_c = mean_s ||U_s|| over up servers (§3.5).
@@ -283,7 +246,9 @@ class Cluster {
   /// counters) so the restored run's LoadIndexStats trajectory stays
   /// bit-identical to the uninterrupted one. Static structure (configs,
   /// specs, DAGs) is not written; the restoring cluster must have been
-  /// built from the same configuration.
+  /// built from the same configuration. Restore validates every count and
+  /// id against that structure before allocating or adopting anything and
+  /// rejects a malformed payload with ContractViolation.
   void save_state(io::BinWriter& w) const;
   void restore_state(io::BinReader& r);
 
@@ -307,7 +272,7 @@ class Cluster {
   /// Brings the index up to date for (hr, typical_demand): re-evaluates
   /// only dirty servers, or the whole fleet when the key changed.
   void refresh_load_index(double hr, double typical_demand) const;
-  /// Free-slot contribution of one up server (same arithmetic as the scan).
+  /// Free-slot contribution of one up server (the auditor recomputes it).
   static int server_slot_estimate(const Server& s, double hr, double typical_demand);
   /// Re-registers `job`'s flow set with the link model after a placement
   /// mutation touched one of its tasks (no-op when contention is off).
@@ -339,9 +304,6 @@ class Cluster {
   mutable std::vector<ServerId> underloaded_ids_;  ///< sorted ascending
   mutable std::vector<ServerId> overloaded_ids_;   ///< sorted ascending
   mutable LoadIndexStats index_stats_;
-  /// Bucketed feasibility index; mirrors the underloaded partition and the
-  /// refresh-time load caches exactly (rebuilt from them on restore).
-  mutable PlacementIndex pindex_;
   std::vector<std::uint64_t> job_placement_epochs_;  ///< grown by register_job
   /// Link-contention state (empty when ClusterConfig::link_contention off).
   LinkModel links_;

@@ -1019,13 +1019,12 @@ bool SimEngine::step() {
 }
 
 RunMetrics SimEngine::finalize() {
-  if (jobs_completed_ + jobs_failed_ < cluster_.job_count()) {
-    MLFS_WARN("simulation hit max_sim_time with "
-              << (cluster_.job_count() - jobs_completed_ - jobs_failed_)
-              << " jobs incomplete (censored)");
-  }
-
   RunMetrics m;
+  m.jobs_censored = cluster_.job_count() - jobs_completed_ - jobs_failed_;
+  if (m.jobs_censored > 0) {
+    MLFS_WARN("simulation hit max_sim_time with " << m.jobs_censored
+                                                  << " jobs incomplete (censored)");
+  }
   m.scheduler = scheduler_.name();
   m.job_count = cluster_.job_count();
   m.jobs_injected = injected_specs_.size();
@@ -1078,7 +1077,6 @@ RunMetrics SimEngine::finalize() {
   m.sched_rounds = sched_rounds_;
   const SchedStats sstats = scheduler_.sched_stats();
   m.candidates_scanned = sstats.candidates_scanned;
-  m.candidates_linear = sstats.candidates_linear;
   m.comm_cache_hits = sstats.comm_cache_hits;
   m.comm_cache_misses = sstats.comm_cache_misses;
   const LoadIndexStats& lstats = cluster_.load_index_stats();
@@ -1086,11 +1084,6 @@ RunMetrics SimEngine::finalize() {
   m.load_index_refreshes = lstats.refreshes;
   m.servers_reindexed = lstats.servers_reindexed;
   m.noop_reindexes = lstats.noop_reindexes;
-  const PlacementIndexStats& pstats = cluster_.placement_index_stats();
-  m.pindex_queries = pstats.queries;
-  m.pindex_servers_pruned = pstats.servers_pruned;
-  m.pindex_buckets_pruned = pstats.buckets_pruned;
-  m.pindex_servers_bypassed = pstats.servers_bypassed;
   m.link_busy_seconds = link_busy_seconds_;
   m.contention_slowdown_seconds = contention_slowdown_seconds_;
   m.phase_offset_hits = static_cast<std::size_t>(phase_offset_hits_);

@@ -60,9 +60,6 @@ std::uint64_t SimEngine::config_fingerprint() const {
   w.f64(cluster_config_.inter_rack_flow_bandwidth_mbps);
   w.f64(cluster_config_.slow_server_fraction);
   w.f64(cluster_config_.slow_server_speed);
-  w.boolean(cluster_config_.incremental_load_index);
-  w.boolean(cluster_config_.placement_bucket_index);
-  w.i64(cluster_config_.placement_index_buckets);
   w.boolean(cluster_config_.debug_slot_leak);
   w.boolean(cluster_config_.link_contention);
   w.f64(cluster_config_.nic_capacity_mbps);

@@ -20,7 +20,7 @@
 //
 // Everything defaults off: a default RecoveryConfig leaves the engine
 // bit-identical to a run without this subsystem (the determinism tests
-// prove it the same way MlfsConfig::legacy_hot_path was proven).
+// prove it with pinned event-stream hashes).
 #pragma once
 
 #include <cstddef>

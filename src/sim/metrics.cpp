@@ -31,6 +31,7 @@ std::string RunMetrics::summary() const {
          << "%";
     }
   }
+  if (jobs_censored > 0) os << " censored=" << jobs_censored;
   if (server_failures > 0 || task_kills > 0) {
     os << " failures=" << server_failures << " kills=" << task_kills
        << " goodput=" << format_double(goodput, 3)
@@ -79,20 +80,16 @@ bool deterministic_equal(const RunMetrics& a, const RunMetrics& b) {
          a.task_retries == b.task_retries &&
          a.backoff_delay_seconds == b.backoff_delay_seconds &&
          a.jobs_failed_permanent == b.jobs_failed_permanent &&
+         a.jobs_censored == b.jobs_censored &&
          a.crashes_absorbed == b.crashes_absorbed &&
          a.wasted_work_avoided_gpu_seconds == b.wasted_work_avoided_gpu_seconds &&
          a.events_processed == b.events_processed &&
          a.event_stream_hash == b.event_stream_hash &&
          a.sched_rounds == b.sched_rounds && a.candidates_scanned == b.candidates_scanned &&
-         a.candidates_linear == b.candidates_linear &&
          a.comm_cache_hits == b.comm_cache_hits && a.comm_cache_misses == b.comm_cache_misses &&
          a.load_index_rebuilds == b.load_index_rebuilds &&
          a.load_index_refreshes == b.load_index_refreshes &&
          a.servers_reindexed == b.servers_reindexed && a.noop_reindexes == b.noop_reindexes &&
-         a.pindex_queries == b.pindex_queries &&
-         a.pindex_servers_pruned == b.pindex_servers_pruned &&
-         a.pindex_buckets_pruned == b.pindex_buckets_pruned &&
-         a.pindex_servers_bypassed == b.pindex_servers_bypassed &&
          a.link_busy_seconds == b.link_busy_seconds &&
          a.contention_slowdown_seconds == b.contention_slowdown_seconds &&
          a.phase_offset_hits == b.phase_offset_hits &&

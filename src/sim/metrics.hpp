@@ -56,6 +56,9 @@ struct RunMetrics {
   std::size_t task_retries = 0;            ///< backoff re-admissions scheduled
   double backoff_delay_seconds = 0.0;      ///< total backoff delay imposed
   std::size_t jobs_failed_permanent = 0;   ///< jobs that exhausted their retry budget
+  /// Jobs still unfinished when the run hit EngineConfig::max_sim_time;
+  /// each is charged the full horizon as its completion time.
+  std::size_t jobs_censored = 0;
   std::size_t crashes_absorbed = 0;        ///< crashes of quarantined/capped empty servers
   double wasted_work_avoided_gpu_seconds = 0.0;  ///< estimated loss those crashes skipped
 
@@ -69,23 +72,12 @@ struct RunMetrics {
   // -- scheduler hot-path instrumentation (see DESIGN.md) --
   std::size_t sched_rounds = 0;           ///< scheduling rounds executed
   std::size_t candidates_scanned = 0;     ///< servers examined during host choice
-  /// Servers a linear funnel would have examined for the same host
-  /// queries; candidates_linear / candidates_scanned is the bucketed
-  /// placement index's measured candidate reduction (1x with it off).
-  std::size_t candidates_linear = 0;
   std::size_t comm_cache_hits = 0;        ///< per-(task, server) comm-memo hits
   std::size_t comm_cache_misses = 0;      ///< comm-memo rebuilds
   std::size_t load_index_rebuilds = 0;    ///< whole-fleet load-index rebuilds
   std::size_t load_index_refreshes = 0;   ///< incremental load-index refresh passes
   std::size_t servers_reindexed = 0;      ///< per-server load re-evaluations that changed state
   std::size_t noop_reindexes = 0;         ///< dirty servers whose state was unchanged
-  std::size_t pindex_queries = 0;         ///< bucketed placement-index probes
-  std::size_t pindex_servers_pruned = 0;  ///< members skipped via pruned buckets
-  std::size_t pindex_buckets_pruned = 0;  ///< buckets pruned on the GPU dimension
-  /// Members emitted feasible from the bucket bound alone (no exact check);
-  /// candidates_scanned + pindex_servers_pruned + pindex_servers_bypassed
-  /// == candidates_linear whenever the bucketed index answers every query.
-  std::size_t pindex_servers_bypassed = 0;
 
   // -- link contention (sim/link_model.hpp; zero while the feature is off) --
   /// Cross-server communication seconds charged under the link model

@@ -77,11 +77,6 @@ struct SchedulerContext {
 /// "Scheduler hot path"). Schedulers that do not track these return zeros.
 struct SchedStats {
   std::size_t candidates_scanned = 0;  ///< servers examined during host choice
-  /// Servers a linear funnel would have examined for the same queries
-  /// (the full underloaded partition per call). Equal to
-  /// candidates_scanned unless the bucketed placement index is pruning;
-  /// the ratio of the two is the index's measured win.
-  std::size_t candidates_linear = 0;
   std::size_t comm_cache_hits = 0;  ///< per-(task, server) comm-volume memo hits
   std::size_t comm_cache_misses = 0;  ///< memo rebuilds (one per task per epoch)
 };

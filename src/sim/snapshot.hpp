@@ -39,9 +39,12 @@ inline constexpr char kSnapshotMagic[8] = {'M', 'L', 'F', 'S', 'S', 'N', 'A', 'P
 /// always-written "injected" section (JobSpecs streamed into the live
 /// engine after construction — restore re-registers them before touching
 /// dynamic state) and narrowed the config fingerprint to the base
-/// workload, so injections don't invalidate it. Pre-v5 files are rejected
-/// by the version check.
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+/// workload, so injections don't invalidate it. v6: dropped the bucketed
+/// placement index (its flags left the config fingerprint and its query
+/// counters left the "cluster" section, as did the linear-candidate count
+/// in the scheduler payload) and writes the load index's dirty list in
+/// ascending order. Pre-v6 files are rejected by the version check.
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 /// Structured rejection of a snapshot file. Subclasses ContractViolation so
 /// existing catch sites handle it; carries the failing section (or the

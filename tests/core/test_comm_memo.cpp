@@ -7,13 +7,19 @@
 // placements can change a task's comm vector) restores fleet-scale hit
 // rates; the first test pins that with a floor at the 96-server point. The
 // second pins the bounded-arena eviction path: a memo capacity far below the
-// working set must change performance counters only, never decisions.
+// working set must change performance counters only, never decisions. The
+// PlacementRestore tests feed MlfPlacement::restore_state crafted memo
+// payloads: malformed slot tables are rejected before anything is sized.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/binio.hpp"
 #include "core/mlf_h.hpp"
 #include "sim/engine.hpp"
+#include "workload/model_zoo.hpp"
 #include "sim/event_log.hpp"
 #include "workload/trace.hpp"
 
@@ -86,6 +92,123 @@ TEST(CommMemo, TinyCapacityEvictsWithoutChangingDecisions) {
   EXPECT_EQ(roomy.metrics.migrations, tiny.metrics.migrations);
   // Two slots can't hold the working set: eviction must show up as misses.
   EXPECT_GT(tiny.metrics.comm_cache_misses, roomy.metrics.comm_cache_misses);
+}
+
+// ------------------------------------------- crafted placement payloads
+
+/// One memo slot as restore_state reads it; occupied slots carry a row.
+struct CraftedSlot {
+  std::uint64_t task = kInvalidTask;
+  std::uint64_t epoch = 0;
+};
+
+/// An MlfPlacement payload. Rows of occupied slots hold `stride` doubles,
+/// capped at 8 so a huge claimed stride does not build a huge payload.
+std::string crafted_memo(std::uint64_t stride, std::uint64_t slot_count, std::uint64_t cursor,
+                         const std::vector<CraftedSlot>& slots) {
+  std::ostringstream os(std::ios::binary);
+  io::BinWriter w(os);
+  w.u64(stride);
+  w.u64(slot_count);
+  w.u64(cursor);
+  for (const CraftedSlot& slot : slots) {
+    w.u64(slot.task);
+    w.u64(slot.epoch);
+    if (slot.task == kInvalidTask) continue;
+    for (std::uint64_t i = 0; i < std::min<std::uint64_t>(stride, 8); ++i) w.f64(1.0);
+  }
+  for (int i = 0; i < 3; ++i) w.u64(0);  // scanned, hits, misses
+  return os.str();
+}
+
+/// Restores `bytes` into a placement with a 4-slot memo.
+void restore_memo(const std::string& bytes) {
+  PlacementParams params;
+  params.comm_memo_slots = 4;
+  MlfPlacement placement{params};
+  std::istringstream in(bytes, std::ios::binary);
+  io::BinReader r(in);
+  placement.restore_state(r);
+}
+
+void expect_memo_rejected(const std::string& bytes, const std::string& needle) {
+  try {
+    restore_memo(bytes);
+    FAIL() << "crafted memo accepted; expected rejection mentioning '" << needle << "'";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
+}
+
+constexpr CraftedSlot kFree{};
+
+TEST(PlacementRestore, WellFormedCraftedMemoAccepted) {
+  EXPECT_NO_THROW(restore_memo(crafted_memo(0, 0, 0, {})));  // never used
+  EXPECT_NO_THROW(restore_memo(crafted_memo(3, 4, 2, {{5, 1}, {6, 2}, kFree, kFree})));
+  EXPECT_NO_THROW(restore_memo(crafted_memo(3, 4, 1, {{5, 1}, {6, 2}, {7, 0}, {8, 4}})));
+}
+
+TEST(PlacementRestore, RejectsSlotCountOtherThanTheConfiguredCapacity) {
+  expect_memo_rejected(crafted_memo(3, 5, 0, {{5, 1}, kFree, kFree, kFree, kFree}),
+                       "5 slots, expected 4");
+  expect_memo_rejected(crafted_memo(3, 1ull << 40, 0, {{5, 1}}), "slots, expected 4");
+}
+
+TEST(PlacementRestore, RejectsOutOfRangeCursor) {
+  expect_memo_rejected(crafted_memo(3, 4, 4, {{5, 1}, {6, 1}, {7, 1}, {8, 1}}),
+                       "cursor 4 out of range");
+  expect_memo_rejected(crafted_memo(0, 0, 1, {}), "has no slots");
+  expect_memo_rejected(crafted_memo(3, 4, 3, {{5, 1}, {6, 2}, kFree, kFree}),
+                       "cursor 3 does not follow the 2 filled slots");
+}
+
+TEST(PlacementRestore, RejectsRowLargerThanTheBytesLeft) {
+  expect_memo_rejected(crafted_memo(1ull << 40, 4, 1, {{5, 1}, kFree, kFree, kFree}),
+                       "bytes left");
+  expect_memo_rejected(crafted_memo(0, 4, 1, {{5, 1}, kFree, kFree, kFree}), "zero stride");
+}
+
+TEST(PlacementRestore, RejectsInconsistentSlotTables) {
+  expect_memo_rejected(crafted_memo(3, 4, 0, {kFree, {6, 2}, kFree, kFree}),
+                       "slot 1 occupied after a free one");
+  expect_memo_rejected(crafted_memo(3, 4, 2, {{5, 1}, {5, 2}, kFree, kFree}),
+                       "holds task 5 twice");
+  expect_memo_rejected(crafted_memo(3, 4, 0, {kFree, kFree, kFree, kFree}), "holds no slot");
+}
+
+TEST(PlacementRestore, StrideThatDoesNotSpanTheFleetFailsOnFirstUse) {
+  // Rows of 3 doubles restored into a placement serving an 8-server fleet:
+  // the first memo lookup must fail cleanly instead of writing past a row.
+  PlacementParams params;
+  params.comm_memo_slots = 4;
+  MlfPlacement placement{params};
+  std::istringstream in(crafted_memo(3, 4, 1, {{0, 0}, kFree, kFree, kFree}), std::ios::binary);
+  io::BinReader r(in);
+  placement.restore_state(r);
+
+  ClusterConfig config;
+  config.server_count = 8;
+  Cluster cluster(config);
+  JobSpec spec;
+  spec.id = 0;
+  spec.gpu_request = 2;
+  spec.max_iterations = 10;
+  auto inst = ModelZoo::instantiate(spec, 0);
+  cluster.register_job(std::move(inst.job), std::move(inst.tasks));
+  struct NoOps : SchedulerOps {
+    bool place(TaskId, ServerId, int) override { return false; }
+    void preempt_to_queue(TaskId) override {}
+    bool migrate(TaskId, ServerId, int) override { return false; }
+    void release(TaskId) override {}
+  } ops;
+  std::vector<TaskId> queue;
+  const SchedulerContext ctx{cluster, queue, ops, 0.0, 0.9, nullptr, kInvalidJob};
+  try {
+    (void)placement.choose_host(ctx, cluster.task(1), false);
+    FAIL() << "memo with 3-wide rows served an 8-server fleet";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("memo_stride_"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

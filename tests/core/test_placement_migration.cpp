@@ -4,6 +4,7 @@
 
 #include "core/migration.hpp"
 #include "core/placement.hpp"
+#include "reference_placement.hpp"
 #include "workload/model_zoo.hpp"
 
 namespace mlfs::core {
@@ -62,8 +63,7 @@ TEST(Placement, BandwidthTermPullsTaskTowardItsPeers) {
   Fixture f;
   // 2-worker MLP chain: worker 1 communicates with worker 0.
   const JobId id = f.add(MlAlgorithm::Mlp, 2, 3);
-  const Job& job = f.cluster.job(id);
-  f.cluster.place_task(job.task_at(0), 1, 0);
+  f.cluster.place_task(f.cluster.job(id).task_at(0), 1, 0);
 
   // Make every server equally utilized so only the comm term differs:
   // place one equal decoy task on servers 0 and 2.
@@ -73,7 +73,8 @@ TEST(Placement, BandwidthTermPullsTaskTowardItsPeers) {
   f.cluster.place_task(f.cluster.job(decoy2).task_at(0), 2, 0);
 
   auto ctx = f.ctx();
-  const Task& partner = f.cluster.task(job.task_at(1));
+  // Re-fetch the job: adding the decoys may have reallocated the job pool.
+  const Task& partner = f.cluster.task(f.cluster.job(id).task_at(1));
 
   const MlfPlacement with_bw{PlacementParams{true}};
   const auto host = with_bw.choose_host(ctx, partner, false);
@@ -201,7 +202,8 @@ TEST(Placement, MigrationDegradationPrefersSameRackDestination) {
 
 TEST(Placement, MemoizedCommVolumesMatchDirectComputation) {
   // The epoch-keyed comm memo must not change a single choice, with and
-  // without the rack-affinity extension.
+  // without the rack-affinity extension: every query agrees with the
+  // reference chooser, which recomputes each volume directly.
   for (const bool topology : {false, true}) {
     ClusterConfig config{4, 2, 1000.0};
     config.servers_per_rack = 2;
@@ -213,32 +215,31 @@ TEST(Placement, MemoizedCommVolumesMatchDirectComputation) {
     const JobId ring = f.add(MlAlgorithm::ResNet, 3, 13, CommStructure::AllReduce);
     f.cluster.place_task(f.cluster.job(ring).task_at(0), 1, 1);
 
-    PlacementParams direct_params;
-    direct_params.use_topology = topology;
-    direct_params.memoize_comm = false;
-    PlacementParams memo_params = direct_params;
-    memo_params.memoize_comm = true;
-    const MlfPlacement direct{direct_params};
-    const MlfPlacement memoized{memo_params};
+    PlacementParams params;
+    params.use_topology = topology;
+    const MlfPlacement memoized{params};
 
     auto ctx = f.ctx();
-    for (const Job& j : f.cluster.jobs()) {
-      for (const TaskId tid : j.tasks()) {
-        const Task& task = f.cluster.task(tid);
-        for (const bool migrating : {false, true}) {
-          if (migrating && !task.placed()) continue;
-          const auto a = direct.choose_host(ctx, task, migrating);
-          const auto b = memoized.choose_host(ctx, task, migrating);
-          ASSERT_EQ(a.has_value(), b.has_value());
-          if (a) {
-            EXPECT_EQ(a->server, b->server);
-            EXPECT_EQ(a->gpu, b->gpu);
+    // Two passes: the second is served from the memo.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const Job& j : f.cluster.jobs()) {
+        for (const TaskId tid : j.tasks()) {
+          const Task& task = f.cluster.task(tid);
+          for (const bool migrating : {false, true}) {
+            if (migrating && !task.placed()) continue;
+            const auto a = reference::choose_host(params, ctx, task, migrating);
+            const auto b = memoized.choose_host(ctx, task, migrating);
+            ASSERT_EQ(a.has_value(), b.has_value());
+            if (a) {
+              EXPECT_EQ(a->server, b->server);
+              EXPECT_EQ(a->gpu, b->gpu);
+            }
           }
         }
       }
     }
-    EXPECT_GT(memoized.stats().comm_cache_hits + memoized.stats().comm_cache_misses, 0u);
-    EXPECT_EQ(direct.stats().comm_cache_hits + direct.stats().comm_cache_misses, 0u);
+    EXPECT_GT(memoized.stats().comm_cache_hits, 0u);
+    EXPECT_GT(memoized.stats().comm_cache_misses, 0u);
   }
 }
 

@@ -64,7 +64,6 @@ TEST(FuzzGen, ConsecutiveCasesCoverEverySchedulerAndStayInBounds) {
 TEST(FuzzGen, RequestMirrorsCase) {
   FuzzCase c = tiny_case();
   c.inject_slot_leak = true;
-  c.legacy_hot_path = true;
   const RunRequest r = to_request(c);
   EXPECT_EQ(r.cluster.server_count, c.servers);
   EXPECT_EQ(r.cluster.gpus_per_server, c.gpus_per_server);
@@ -74,7 +73,6 @@ TEST(FuzzGen, RequestMirrorsCase) {
   EXPECT_EQ(r.trace.seed, c.trace_seed);
   EXPECT_EQ(r.trace.num_jobs, c.num_jobs);
   EXPECT_EQ(r.scheduler, c.scheduler);
-  EXPECT_TRUE(r.mlfs_config.legacy_hot_path);
 }
 
 TEST(FuzzSerde, RoundTripsThroughText) {
@@ -89,6 +87,14 @@ TEST(FuzzSerde, RejectsUnknownKeysAndMalformedLines) {
   EXPECT_THROW(parse_fuzz_case(unknown), ContractViolation);
   std::istringstream malformed("servers\n");
   EXPECT_THROW(parse_fuzz_case(malformed), ContractViolation);
+  // Keys of retired implementation switches: a saved case that still
+  // carries one is rejected instead of silently running another scenario.
+  for (const char* retired : {"incremental_load_index=1", "legacy_hot_path=0",
+                              "placement_bucket_index=1", "placement_index_buckets=512",
+                              "index_equivalence_check=0"}) {
+    std::istringstream in(std::string(retired) + "\n");
+    EXPECT_THROW(parse_fuzz_case(in), ContractViolation) << retired;
+  }
 }
 
 TEST(FuzzRun, CleanCasePasses) {

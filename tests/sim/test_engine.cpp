@@ -178,11 +178,38 @@ TEST(SimEngine, MaxSimTimeCensorsRuns) {
   SimEngine engine(four_by_four(), config, small_trace(20, 39), scheduler);
   const RunMetrics m = engine.run();
   EXPECT_EQ(m.jct_minutes.count(), 20u);  // censored jobs still counted
-  bool any_incomplete = false;
+  std::size_t incomplete = 0;
   for (const Job& job : engine.cluster().jobs()) {
-    if (!job.done()) any_incomplete = true;
+    if (!job.done()) ++incomplete;
   }
-  EXPECT_TRUE(any_incomplete);
+  EXPECT_GT(incomplete, 0u);
+  EXPECT_EQ(m.jobs_censored, incomplete);
+}
+
+TEST(SimEngine, JobsCensoredCountsJobsUnfinishedAtTheHorizon) {
+  // The last 5 jobs arrive after the horizon, so exactly they are censored;
+  // the rest finish long before it.
+  EngineConfig config;
+  config.max_sim_time = days(10);
+  std::vector<JobSpec> specs = small_trace(12, 47);
+  for (std::size_t i = specs.size() - 5; i < specs.size(); ++i) {
+    specs[i].arrival = days(11) + minutes(static_cast<double>(i));
+  }
+  GreedyScheduler scheduler;
+  SimEngine engine(four_by_four(), config, specs, scheduler);
+  const RunMetrics m = engine.run();
+  EXPECT_EQ(m.jobs_censored, 5u);
+  EXPECT_NE(m.summary().find(" censored=5"), std::string::npos) << m.summary();
+
+  RunMetrics uncensored = m;
+  uncensored.jobs_censored = 0;
+  EXPECT_FALSE(deterministic_equal(m, uncensored));
+
+  GreedyScheduler full_scheduler;
+  SimEngine full(four_by_four(), {}, small_trace(12, 47), full_scheduler);
+  const RunMetrics all_done = full.run();
+  EXPECT_EQ(all_done.jobs_censored, 0u);
+  EXPECT_EQ(all_done.summary().find("censored"), std::string::npos);
 }
 
 TEST(SimEngine, SchedulerOverheadMeasured) {

@@ -190,6 +190,23 @@ TEST(SnapshotContainer, PreV4FilesRejected) {
   }
 }
 
+TEST(SnapshotContainer, V5FilesRejectedAsUnsupportedVersion) {
+  // v6 dropped the bucketed placement index from the fingerprint and the
+  // cluster section; a v5 file must fail the version check, not a parse.
+  std::string bytes = write_sample();
+  bytes[8] = 5;
+  bytes = patch_checksum(std::move(bytes));
+  std::istringstream is(bytes, std::ios::binary);
+  try {
+    SnapshotReader reader(is, 0xfeedu);
+    FAIL() << "v5 snapshot accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.section(), "header");
+    EXPECT_NE(std::string(e.what()).find("unsupported snapshot version 5"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SnapshotContainer, FingerprintMismatchRejected) {
   const std::string bytes = write_sample(0xfeedu);
   std::istringstream is(bytes, std::ios::binary);
@@ -259,6 +276,155 @@ TEST(SnapshotSubsystems, ClusterStateReserializesIdentically) {
     twin.save_state(w);
   }
   EXPECT_EQ(first.str(), second.str());
+}
+
+// ------------------------------------------- crafted "cluster" payloads
+
+/// The load-index tail of a "cluster" payload as Cluster::restore_state
+/// reads it. Per-server arrays hold `servers` entries except array
+/// `bad_array` (0..6 in serialization order: dirty flags, overload flags,
+/// underload flags, slot estimates, utilizations, least-loaded GPUs, their
+/// loads), whose length field says `bad_length` (at most servers + 1
+/// entries actually follow).
+struct CraftedIndex {
+  bool valid = true;
+  std::size_t servers = 3;
+  std::vector<std::uint64_t> dirty_ids;
+  std::vector<std::uint64_t> under_ids = {0, 1, 2};
+  std::vector<std::uint64_t> over_ids;
+  int bad_array = -1;
+  std::uint64_t bad_length = 0;
+};
+
+std::string index_tail(const CraftedIndex& c) {
+  std::ostringstream os(std::ios::binary);
+  io::BinWriter w(os);
+  std::size_t array = 0;
+  const auto per_server = [&](const auto& write_one) {
+    const std::uint64_t n = array++ == static_cast<std::size_t>(c.bad_array)
+                                ? c.bad_length
+                                : static_cast<std::uint64_t>(c.servers);
+    w.u64(n);
+    for (std::uint64_t i = 0; i < std::min<std::uint64_t>(n, c.servers + 1); ++i) write_one();
+  };
+  const auto ids = [&w](const std::vector<std::uint64_t>& v) {
+    w.u64(v.size());
+    for (const std::uint64_t id : v) w.u64(id);
+  };
+  w.boolean(c.valid);
+  w.f64(c.valid ? 0.9 : -1.0);  // hr
+  w.f64(0.45);                  // typical demand
+  per_server([&w] { w.u8(0); });
+  ids(c.dirty_ids);
+  per_server([&w] { w.u8(0); });
+  per_server([&w] { w.u8(1); });
+  per_server([&w] { w.i64(0); });
+  per_server([&w] {
+    for (std::size_t r = 0; r < kNumResources; ++r) w.f64(0.0);
+  });
+  per_server([&w] { w.i64(0); });
+  per_server([&w] { w.f64(0.0); });
+  w.i64(0);  // total slots
+  ids(c.under_ids);
+  ids(c.over_ids);
+  for (int i = 0; i < 4; ++i) w.u64(c.valid ? 7 : 0);  // LoadIndexStats
+  return os.str();
+}
+
+/// A 3-server cluster with one placed job (same construction for the saver
+/// and the restore target).
+Cluster crafted_cluster() {
+  ClusterConfig config;
+  config.server_count = 3;
+  config.gpus_per_server = 2;
+  Cluster cluster(config);
+  auto inst = ModelZoo::instantiate(snapshot_spec(2), 0);
+  cluster.register_job(std::move(inst.job), std::move(inst.tasks));
+  return cluster;
+}
+
+/// A "cluster" payload whose load-index tail is `index`: everything before
+/// the tail comes from a real save of an unprimed cluster.
+std::string crafted_cluster_state(const CraftedIndex& index) {
+  Cluster cluster = crafted_cluster();
+  cluster.place_task(0, 0, 0);
+  std::ostringstream os(std::ios::binary);
+  io::BinWriter w(os);
+  cluster.save_state(w);
+  const std::string saved = os.str();
+  const std::string unprimed = index_tail(CraftedIndex{false, 0, {}, {}, {}});
+  EXPECT_TRUE(saved.ends_with(unprimed)) << "unprimed index layout changed";
+  return saved.substr(0, saved.size() - unprimed.size()) + index_tail(index);
+}
+
+/// Restores `bytes` into a fresh cluster; the failing restore must leave
+/// the target's load index untouched.
+void restore_cluster(const std::string& bytes) {
+  Cluster target = crafted_cluster();
+  std::istringstream is(bytes, std::ios::binary);
+  io::BinReader r(is);
+  try {
+    target.restore_state(r);
+  } catch (...) {
+    EXPECT_EQ(target.load_index_stats().full_rebuilds, 0u);
+    EXPECT_EQ(target.load_index_stats().refreshes, 0u);
+    throw;
+  }
+}
+
+void expect_cluster_rejected(const CraftedIndex& index, const std::string& needle) {
+  try {
+    restore_cluster(crafted_cluster_state(index));
+    FAIL() << "crafted cluster state accepted; expected rejection mentioning '" << needle
+           << "'";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
+}
+
+TEST(ClusterRestore, WellFormedCraftedIndexAccepted) {
+  EXPECT_NO_THROW(restore_cluster(crafted_cluster_state({})));
+  EXPECT_NO_THROW(restore_cluster(crafted_cluster_state({true, 3, {0, 2}, {1}, {0, 2}})));
+  EXPECT_NO_THROW(restore_cluster(crafted_cluster_state({false, 0, {}, {}, {}})));
+}
+
+TEST(ClusterRestore, RejectsPerServerArraysOfTheWrongLength) {
+  for (int array = 0; array < 7; ++array) {
+    CraftedIndex longer;
+    longer.bad_array = array;
+    longer.bad_length = 4;
+    expect_cluster_rejected(longer, "has 4 entries, expected 3");
+    CraftedIndex shorter;
+    shorter.bad_array = array;
+    shorter.bad_length = 2;
+    expect_cluster_rejected(shorter, "has 2 entries, expected 3");
+  }
+  // An unprimed index must carry empty arrays.
+  expect_cluster_rejected({false, 3, {}, {}, {}}, "has 3 entries, expected 0");
+}
+
+TEST(ClusterRestore, RejectsOutOfRangeOrUnsortedIds) {
+  expect_cluster_rejected({true, 3, {3}, {0, 1, 2}, {}}, "dirty list id 3 out of range");
+  expect_cluster_rejected({true, 3, {2, 1}, {0, 1, 2}, {}},
+                          "dirty list not strictly ascending at id 1");
+  expect_cluster_rejected({true, 3, {1, 1}, {0, 1, 2}, {}},
+                          "dirty list not strictly ascending at id 1");
+  expect_cluster_rejected({true, 3, {}, {0, 5}, {}}, "underloaded partition id 5 out of range");
+  expect_cluster_rejected({true, 3, {}, {1, 0}, {}},
+                          "underloaded partition not strictly ascending");
+  expect_cluster_rejected({true, 3, {}, {0, 1, 2}, {2, 2}},
+                          "overloaded partition not strictly ascending");
+}
+
+TEST(ClusterRestore, RejectsCountsThatWouldDriveUnboundedAllocation) {
+  // Rejected on the length field, before anything is reserved for it.
+  CraftedIndex huge;
+  huge.bad_array = 4;  // utilizations
+  huge.bad_length = 1ull << 40;
+  expect_cluster_rejected(huge, "has 1099511627776 entries, expected 3");
+  CraftedIndex many_ids;
+  many_ids.under_ids = std::vector<std::uint64_t>(4, 0);
+  expect_cluster_rejected(many_ids, "underloaded partition lists 4 ids for 3 servers");
 }
 
 TEST(SnapshotSubsystems, HealthTrackerReserializesIdentically) {

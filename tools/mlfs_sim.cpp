@@ -49,7 +49,6 @@ struct Options {
   std::size_t servers = 8;
   int gpus_per_server = 4;
   std::size_t total_gpus = 0;
-  bool no_bucket_index = false;
   std::string trace_file;
   int servers_per_rack = 0;
   double slow_fraction = 0.0;
@@ -57,7 +56,6 @@ struct Options {
   int straggler_replicas = 0;
   unsigned threads = 0;  // 0 = hardware concurrency
   bool csv = false;
-  bool legacy_hotpath = false;
   bool audit = false;
   std::string event_log_file;
 
@@ -107,8 +105,6 @@ void print_usage() {
       "  --total-gpus N       distribute N GPUs across the fleet instead of\n"
       "                       a uniform per-server count (heterogeneous,\n"
       "                       e.g. Philly: --servers 550 --total-gpus 2474)\n"
-      "  --no-bucket-index    disable the bucketed placement index (linear\n"
-      "                       candidate funnel; same decisions)\n"
       "  --trace FILE         replay a trace CSV instead of generating\n"
       "  --servers-per-rack N rack topology (0 = flat)\n"
       "  --slow-fraction F    fraction of servers on the slow GPU tier\n"
@@ -117,8 +113,6 @@ void print_usage() {
       "  --threads N          concurrent runs (default 0 = hardware concurrency;\n"
       "                       results and output order do not depend on N)\n"
       "  --csv                emit one CSV row per run instead of prose\n"
-      "  --legacy-hotpath     disable the incremental load index + comm memo\n"
-      "                       (reference scan scheduler; same decisions)\n"
       "  --audit              validate simulation invariants after every\n"
       "                       event (sim/audit.hpp); results are identical,\n"
       "                       violations abort the run with a diagnostic\n"
@@ -222,8 +216,6 @@ bool parse(int argc, char** argv, Options& options) {
       const char* v = next("--total-gpus");
       if (!v) return false;
       options.total_gpus = std::stoul(v);
-    } else if (arg == "--no-bucket-index") {
-      options.no_bucket_index = true;
     } else if (arg == "--trace") {
       const char* v = next("--trace");
       if (!v) return false;
@@ -296,8 +288,6 @@ bool parse(int argc, char** argv, Options& options) {
       options.uplink_mbps = std::stod(v);
     } else if (arg == "--csv") {
       options.csv = true;
-    } else if (arg == "--legacy-hotpath") {
-      options.legacy_hotpath = true;
     } else if (arg == "--audit") {
       options.audit = true;
     } else if (arg == "--event-log") {
@@ -433,14 +423,21 @@ std::shared_ptr<const std::vector<JobSpec>> load_trace_workload(const Options& o
   return std::make_shared<const std::vector<JobSpec>>(read_trace_csv(in));
 }
 
+void print_csv_header() {
+  std::cout << "scheduler,jobs,avg_jct_min,median_jct_min,makespan_h,deadline_ratio,"
+               "avg_wait_s,avg_accuracy,accuracy_ratio,bandwidth_tb,inter_rack_tb,"
+               "sched_overhead_ms,migrations,preemptions,sched_rounds,"
+               "candidates_scanned,comm_cache_hits,jobs_censored\n";
+}
+
 void print_csv_row(const RunMetrics& m) {
   std::cout << m.scheduler << ',' << m.job_count << ',' << m.average_jct_minutes() << ','
             << m.jct_minutes.median() << ',' << m.makespan_hours << ',' << m.deadline_ratio
             << ',' << m.average_waiting_seconds() << ',' << m.average_accuracy << ','
             << m.accuracy_ratio << ',' << m.bandwidth_tb << ',' << m.inter_rack_tb << ','
             << m.sched_overhead_ms << ',' << m.migrations << ',' << m.preemptions << ','
-            << m.sched_rounds << ',' << m.candidates_scanned << ','
-            << m.candidates_linear << ',' << m.comm_cache_hits << "\n";
+            << m.sched_rounds << ',' << m.candidates_scanned << ',' << m.comm_cache_hits
+            << ',' << m.jobs_censored << "\n";
 }
 
 }  // namespace
@@ -456,8 +453,6 @@ int main(int argc, char** argv) {
     cluster.servers_per_rack = options.servers_per_rack;
     cluster.slow_server_fraction = options.slow_fraction;
     cluster.total_gpus = options.total_gpus;
-    cluster.incremental_load_index = !options.legacy_hotpath;
-    cluster.placement_bucket_index = !options.no_bucket_index;
     cluster.link_contention = options.contention;
     cluster.nic_capacity_mbps = options.nic_mbps;
     cluster.rack_uplink_capacity_mbps = options.uplink_mbps;
@@ -488,7 +483,6 @@ int main(int argc, char** argv) {
         std::min<int>(32, static_cast<int>(options.servers) * options.gpus_per_server / 2);
 
     core::MlfsConfig mlfs_config;
-    mlfs_config.legacy_hot_path = options.legacy_hotpath;
 
     const auto shared_workload = load_trace_workload(options);
 
@@ -562,10 +556,7 @@ int main(int argc, char** argv) {
                   << (result.torn_tail_dropped ? " (torn tail dropped)" : "") << "\n";
       }
       if (options.csv) {
-        std::cout << "scheduler,jobs,avg_jct_min,median_jct_min,makespan_h,deadline_ratio,"
-                     "avg_wait_s,avg_accuracy,accuracy_ratio,bandwidth_tb,inter_rack_tb,"
-                     "sched_overhead_ms,migrations,preemptions,sched_rounds,"
-                     "candidates_scanned,candidates_linear,comm_cache_hits\n";
+        print_csv_header();
         print_csv_row(result.metrics);
       } else {
         std::cout << result.metrics.summary() << "\n";
@@ -595,10 +586,7 @@ int main(int argc, char** argv) {
       }
       const RunMetrics m = engine.finalize();
       if (options.csv) {
-        std::cout << "scheduler,jobs,avg_jct_min,median_jct_min,makespan_h,deadline_ratio,"
-                     "avg_wait_s,avg_accuracy,accuracy_ratio,bandwidth_tb,inter_rack_tb,"
-                     "sched_overhead_ms,migrations,preemptions,sched_rounds,"
-                     "candidates_scanned,candidates_linear,comm_cache_hits\n";
+        print_csv_header();
         print_csv_row(m);
       } else {
         std::cout << m.summary() << "\n";
@@ -612,10 +600,7 @@ int main(int argc, char** argv) {
     const std::vector<RunMetrics> results = exp::run_batch(requests, run_options);
 
     if (options.csv) {
-      std::cout << "scheduler,jobs,avg_jct_min,median_jct_min,makespan_h,deadline_ratio,"
-                   "avg_wait_s,avg_accuracy,accuracy_ratio,bandwidth_tb,inter_rack_tb,"
-                   "sched_overhead_ms,migrations,preemptions,sched_rounds,"
-                   "candidates_scanned,candidates_linear,comm_cache_hits\n";
+      print_csv_header();
       for (const RunMetrics& m : results) print_csv_row(m);
     } else {
       for (const RunMetrics& m : results) std::cout << m.summary() << "\n";
