@@ -21,6 +21,14 @@
 // legs, so the byte-identical claim covers the whole registry rather than
 // MLF-H alone.
 //
+// A weak-scaling leg runs MLF-H on the same fleet at offered load 0.45 with
+// the arrival rate held constant, at 2.5k / 10k / 20k jobs (smoke: 2.5k /
+// 5k): the trace grows, the live job set does not. Each point runs alone
+// and reports the engine's own time per tick — run wall minus scheduling
+// rounds minus curve fitting, over ticks. Full mode gates the largest /
+// smallest ratio at 1.3 (per-tick engine work must not grow with trace
+// length); smoke only reports it.
+//
 // All legs execute through the shared experiment runner on the pool
 // (hashes and counters are simulation-deterministic, so parallelism
 // cannot change them; only the real-clock measurements — the fit/run wall
@@ -48,6 +56,8 @@
 #include "exp/registry.hpp"
 #include "exp/runner.hpp"
 #include "sim/event_log.hpp"
+#include "workload/model_zoo.hpp"
+#include "workload/trace.hpp"
 
 namespace {
 
@@ -127,6 +137,65 @@ exp::RunRequest matrix_request(const std::string& scheduler, std::size_t servers
   return request;
 }
 
+/// Weak-scaling points: Philly traces of each size with the same arrival
+/// rate, set so the smallest trace's ideal GPU-seconds offer `kWeakLoad`
+/// of the fleet (larger traces land within a few percent of it; each
+/// point's offered load is reported). The horizon ends with the arrival
+/// window, so every point measures the steady state with arrivals still
+/// flowing rather than a drain tail whose length does not scale with the
+/// trace; jobs still running then are censored.
+constexpr double kWeakLoad = 0.45;
+constexpr double kWeakGpus = 2474.0;
+
+struct WeakPoint {
+  exp::RunRequest request;
+  double offered_load = 0.0;
+};
+
+std::vector<WeakPoint> weak_scaling_points(const std::vector<std::size_t>& job_counts) {
+  std::vector<WeakPoint> points;
+  double scale = 0.0;  // arrival-time stretch, fixed by the first point
+  for (const std::size_t jobs : job_counts) {
+    WeakPoint point;
+    exp::RunRequest& request = point.request;
+    request.label = "weak-scaling " + std::to_string(jobs);
+    request.cluster.server_count = 550;
+    request.cluster.total_gpus = static_cast<std::size_t>(kWeakGpus);
+    request.trace.num_jobs = jobs;
+    // The generator spreads arrivals uniformly (diurnally modulated) over
+    // this window, so a window proportional to the job count keeps the
+    // arrival rate constant.
+    request.trace.duration_hours = 20.0 * static_cast<double>(jobs) / 2500.0;
+    request.trace.seed = 4500;
+    request.trace.max_gpu_request = 32;
+    request.engine.seed = 4500 ^ 0xbeef;
+    request.scheduler = "MLF-H";
+    request.mlfs_config.heuristic_only = true;
+    std::vector<JobSpec> specs = PhillyTraceGenerator(request.trace).generate();
+    double gpu_seconds = 0.0;
+    for (const JobSpec& spec : specs) {
+      gpu_seconds +=
+          spec.gpu_request * ModelZoo::instantiate(spec, 0).job.estimated_execution_seconds();
+    }
+    const double window = hours(request.trace.duration_hours);
+    if (points.empty()) scale = gpu_seconds / (kWeakGpus * kWeakLoad) / window;
+    for (JobSpec& spec : specs) spec.arrival *= scale;
+    point.offered_load = gpu_seconds / (kWeakGpus * scale * window);
+    request.engine.max_sim_time = scale * window;
+    request.workload = std::make_shared<const std::vector<JobSpec>>(std::move(specs));
+    points.push_back(std::move(point));
+  }
+  return points;
+}
+
+/// Engine self time per tick: everything run() spent outside the
+/// scheduling rounds and the curve fits, over the ticks (one round each).
+double engine_ms_per_tick(const RunMetrics& m) {
+  if (m.sched_rounds == 0) return 0.0;
+  const double sched_ms = m.sched_overhead_ms * static_cast<double>(m.sched_rounds);
+  return (m.run_wall_ms - sched_ms - m.fit_wall_ms) / static_cast<double>(m.sched_rounds);
+}
+
 bool identical(const HashedRun& a, const HashedRun& b) {
   return a.sink.hash() == b.sink.hash() && a.sink.bytes() == b.sink.bytes() &&
          a.sink.bytes() > 0;
@@ -175,6 +244,12 @@ int main(int argc, char** argv) {
   // Predictor wall-clock share of the default leg (was ~56% of the run
   // before the service; the incremental chains must keep it under 20%).
   const double fit_share_gate = 0.20;
+  // Weak scaling: engine ms per tick at the largest point over the
+  // smallest. Gated in full mode only — smoke's two short points are too
+  // close together to say anything beyond the reported ratio.
+  const std::vector<std::size_t> weak_jobs =
+      smoke ? std::vector<std::size_t>{2500, 5000} : std::vector<std::size_t>{2500, 10000, 20000};
+  const double weak_ratio_gate = 1.3;
 
   std::ofstream json(out_file);
   if (!json) {
@@ -209,6 +284,15 @@ int main(int argc, char** argv) {
   // Timing run: leg A's request without its observer, alone, so neither
   // JSONL hashing nor co-running legs inflate the per-round wall clock.
   const RunMetrics timed = exp::execute_run(philly_request(philly_jobs, philly_hours, true));
+  // Weak-scaling points, also alone: each is a per-tick wall-clock reading.
+  const std::vector<WeakPoint> weak_points = weak_scaling_points(weak_jobs);
+  std::vector<RunMetrics> weak;
+  for (const WeakPoint& point : weak_points) weak.push_back(exp::execute_run(point.request));
+  const double weak_ratio =
+      engine_ms_per_tick(weak.front()) > 0.0
+          ? engine_ms_per_tick(weak.back()) / engine_ms_per_tick(weak.front())
+          : 0.0;
+  const bool weak_pass = smoke || weak_ratio <= weak_ratio_gate;
   const std::vector<RunMetrics> results = exp::run_batch(requests, options);
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -231,6 +315,16 @@ int main(int argc, char** argv) {
             << leg_b.nm_objective_evals << " legacy (" << philly_nm_reduction
             << "x reduction, gate " << nm_gate << "x), fit wall share "
             << philly_fit_share << " (gate " << fit_share_gate << ")\n";
+
+  std::cout << "=== weak scaling (MLF-H, load " << kWeakLoad << ") ===\n";
+  for (std::size_t i = 0; i < weak.size(); ++i) {
+    std::cout << "  " << weak_jobs[i] << " jobs (offered load " << weak_points[i].offered_load
+              << "): " << weak[i].sched_rounds << " ticks, engine "
+              << engine_ms_per_tick(weak[i]) << " ms/tick\n";
+  }
+  std::cout << "  largest/smallest " << weak_ratio
+            << (smoke ? " (reported only)" : " (gate " + std::to_string(weak_ratio_gate) + ")")
+            << "\n";
 
   bool matrix_identical = true;
   json << "{\n  \"benchmark\": \"largescale\",\n  \"smoke\": " << (smoke ? "true" : "false")
@@ -256,7 +350,18 @@ int main(int argc, char** argv) {
        << ", \"run_wall_ms\": " << leg_a.run_wall_ms
        << ", \"fit_wall_share\": " << philly_fit_share
        << ", \"fit_share_gate\": " << fit_share_gate
-       << "}},\n  \"scheduler_matrix\": [\n";
+       << "}},\n  \"weak_scaling\": {\"scheduler\": \"MLF-H\", \"offered_load\": " << kWeakLoad
+       << ", \"points\": [";
+  for (std::size_t i = 0; i < weak.size(); ++i) {
+    json << (i > 0 ? ", " : "") << "\n    {\"jobs\": " << weak_jobs[i]
+         << ", \"offered_load\": " << weak_points[i].offered_load
+         << ", \"ticks\": " << weak[i].sched_rounds
+         << ", \"run_wall_ms\": " << weak[i].run_wall_ms
+         << ", \"engine_ms_per_tick\": " << engine_ms_per_tick(weak[i]) << "}";
+  }
+  json << "],\n    \"ratio_largest_over_smallest\": " << weak_ratio
+       << ", \"ratio_gate\": " << (smoke ? std::string("null") : std::to_string(weak_ratio_gate))
+       << "},\n  \"scheduler_matrix\": [\n";
   for (std::size_t i = 0; i < schedulers.size(); ++i) {
     const RunMetrics& on = results[2 + 2 * i];
     const RunMetrics& legacy = results[3 + 2 * i];
@@ -272,7 +377,8 @@ int main(int argc, char** argv) {
   }
   const bool all_identical = philly_service_identical && timed_identical && matrix_identical;
   const bool pass = all_identical && ms_per_round <= ms_per_round_ceiling &&
-                    philly_nm_reduction >= nm_gate && philly_fit_share < fit_share_gate;
+                    philly_nm_reduction >= nm_gate && philly_fit_share < fit_share_gate &&
+                    weak_pass;
   json << "  ],\n  \"all_decisions_identical\": " << (all_identical ? "true" : "false")
        << ",\n  \"pass\": " << (pass ? "true" : "false") << "\n}\n";
   std::cout << "wrote " << out_file << " (" << wall_seconds << "s)\n";
@@ -294,6 +400,12 @@ int main(int argc, char** argv) {
   if (philly_fit_share >= fit_share_gate) {
     std::cerr << "FAIL: curve-fit wall share " << philly_fit_share << " at or above the "
               << fit_share_gate << " gate\n";
+    return 1;
+  }
+  if (!weak_pass) {
+    std::cerr << "FAIL: engine ms per tick grew " << weak_ratio << "x from "
+              << weak_jobs.front() << " to " << weak_jobs.back() << " jobs (gate "
+              << weak_ratio_gate << "x)\n";
     return 1;
   }
   return 0;

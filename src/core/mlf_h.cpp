@@ -177,6 +177,8 @@ void MlfH::handle_overloaded_servers(SchedulerContext& ctx) {
   auto priority_of = [this, &cluster, &ctx](TaskId tid) {
     return task_priority(cluster, tid, ctx.now);
   };
+  // Iterates a copy of the ids: each migration below re-partitions the
+  // cluster's overloaded index.
   for (const ServerId sid : cluster.overloaded_servers(ctx.hr)) {
     int moved = 0;
     while (moved < config_.migration.max_victims_per_server) {

@@ -16,6 +16,16 @@ constexpr double kMinRemainingHours = 1.0 / 100.0;  // 36 seconds
 bool task_live(const Task& t) {
   return t.state != TaskState::Finished && t.state != TaskState::Removed;
 }
+
+/// Eqs. 3/5: P_u = P'_u + γ Σ_{c ∈ child(u)} P_c over the sealed reverse
+/// topological order; `values` holds P' on entry and P on return.
+void fold_children(const Dag& dag, double gamma, std::vector<double>& values) {
+  for (const std::size_t u : dag.reverse_topological_order()) {
+    double child_sum = 0.0;
+    for (const std::size_t c : dag.children(u)) child_sum += values[c];
+    values[u] = values[u] + gamma * child_sum;
+  }
+}
 }  // namespace
 
 PriorityCalculator::PriorityCalculator(const PriorityParams& params) : params_(params) {
@@ -29,12 +39,12 @@ double PriorityCalculator::loss_share(double last_delta, double cumulative) {
 }
 
 double PriorityCalculator::task_deadline(const Job& job, std::size_t local_index,
-                                         const std::vector<std::size_t>& depth_to_sink) {
+                                         std::span<const std::uint32_t> depth_to_sink) {
   // A task with descendants must leave them room: pull its deadline
   // earlier by the critical-path share its descendants still occupy,
   // scaled by the job's remaining estimated runtime.
   const double depth = static_cast<double>(depth_to_sink[local_index]);
-  std::size_t max_depth = 0;
+  std::uint32_t max_depth = 0;
   for (const auto d : depth_to_sink) max_depth = std::max(max_depth, d);
   if (max_depth == 0) return job.deadline();
   const int remaining_iters =
@@ -48,7 +58,7 @@ std::vector<double> PriorityCalculator::ml_priorities(const Cluster& cluster,
                                                       const Job& job) const {
   const Dag& dag = job.dag();
   const std::size_t n = dag.node_count();
-  std::vector<double> base(n, 0.0);
+  std::vector<double> priority(n, 0.0);
 
   // Shared temporal factor of Eq. 2: L_J · (1/I) · normalized loss
   // reduction of the most recent finished iteration.
@@ -67,16 +77,12 @@ std::vector<double> PriorityCalculator::ml_priorities(const Cluster& cluster,
     const Task& t = cluster.task(job.task_at(k));
     if (!task_live(t)) continue;
     const double size = t.partition_params_m / job.total_params_m();  // S^J_k
-    base[k] = urgency * temporal * loss_ratio * size;                 // Eq. 2
+    priority[k] = urgency * temporal * loss_ratio * size;             // Eq. 2
   }
 
-  // Eq. 3: fold discounted child priorities, children before parents.
-  std::vector<double> priority = base;
-  for (const std::size_t u : dag.reverse_topological_order()) {
-    double child_sum = 0.0;
-    for (const std::size_t c : dag.children(u)) child_sum += priority[c];
-    priority[u] = base[u] + params_.gamma * child_sum;
-  }
+  // Eq. 3: fold discounted child priorities, children before parents (in
+  // place: a node's base value is still unfolded when it is visited).
+  fold_children(dag, params_.gamma, priority);
   return priority;
 }
 
@@ -86,7 +92,7 @@ std::vector<double> PriorityCalculator::computation_priorities(const Cluster& cl
   const Dag& dag = job.dag();
   const std::size_t n = dag.node_count();
   const auto depth = dag.depth_to_sink();
-  std::vector<double> base(n, 0.0);
+  std::vector<double> priority(n, 0.0);
 
   const int remaining_iters =
       std::max(0, job.target_iterations() - job.completed_iterations());
@@ -110,25 +116,19 @@ std::vector<double> PriorityCalculator::computation_priorities(const Cluster& cl
     const double waiting_h =
         to_hours(t.total_waiting + (t.state == TaskState::Queued ? now - t.queued_since : 0.0));
     value += params_.gamma_w * waiting_h;
-    base[k] = value;  // Eq. 4
+    priority[k] = value;  // Eq. 4
   }
 
-  std::vector<double> priority = base;
-  for (const std::size_t u : dag.reverse_topological_order()) {
-    double child_sum = 0.0;
-    for (const std::size_t c : dag.children(u)) child_sum += priority[c];
-    priority[u] = base[u] + params_.gamma * child_sum;  // Eq. 5
-  }
+  fold_children(dag, params_.gamma, priority);  // Eq. 5
   return priority;
 }
 
 std::vector<double> PriorityCalculator::job_priorities(const Cluster& cluster, const Job& job,
                                                        SimTime now) const {
-  const auto ml = ml_priorities(cluster, job);
+  std::vector<double> combined = ml_priorities(cluster, job);
   const auto comp = computation_priorities(cluster, job, now);
-  std::vector<double> combined(ml.size());
-  for (std::size_t k = 0; k < ml.size(); ++k) {
-    combined[k] = params_.alpha * ml[k] + (1.0 - params_.alpha) * comp[k];  // Eq. 6
+  for (std::size_t k = 0; k < combined.size(); ++k) {
+    combined[k] = params_.alpha * combined[k] + (1.0 - params_.alpha) * comp[k];  // Eq. 6
   }
   // §3.3.1: the parameter-server task gets the highest priority in its job
   // — workers can only ship results once the PS is up.

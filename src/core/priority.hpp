@@ -12,6 +12,8 @@
 // in its job (§3.3.1).
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/config.hpp"
@@ -47,7 +49,7 @@ class PriorityCalculator {
   /// time must finish sooner), following the [21]-style derivation the
   /// paper cites.
   static double task_deadline(const Job& job, std::size_t local_index,
-                              const std::vector<std::size_t>& depth_to_sink);
+                              std::span<const std::uint32_t> depth_to_sink);
 
   const PriorityParams& params() const { return params_; }
 

@@ -64,6 +64,8 @@ void SimAuditor::on_job_injected() {
   // The streamed job was just registered; its Arrival event is pending,
   // so it has not arrived yet.
   arrived_.resize(engine_.cluster_.job_count(), 0);
+  current_event_ = "inject";
+  check_job_dag(engine_.cluster_.jobs().back());
 }
 
 void SimAuditor::resync_after_restore() {
@@ -113,59 +115,84 @@ void SimAuditor::check_now(const char* context) {
 // ------------------------------------------------------------ DAG
 
 void SimAuditor::check_dag_structure() const {
+  for (const Job& job : engine_.cluster_.jobs()) check_job_dag(job);
+}
+
+void SimAuditor::check_job_dag(const Job& job) const {
   const Cluster& cluster = engine_.cluster_;
-  for (const Job& job : cluster.jobs()) {
-    const Dag& dag = job.dag();
-    if (dag.node_count() != job.task_count()) {
-      fail("dag-structure", "job " + std::to_string(job.id()) + ": dag has " +
-                                std::to_string(dag.node_count()) + " nodes but " +
-                                std::to_string(job.task_count()) + " tasks");
+  const Dag& dag = job.dag();
+  if (dag.node_count() != job.task_count()) {
+    fail("dag-structure", "job " + std::to_string(job.id()) + ": dag has " +
+                              std::to_string(dag.node_count()) + " nodes but " +
+                              std::to_string(job.task_count()) + " tasks");
+  }
+  if (!dag.is_acyclic()) {
+    fail("dag-structure", "job " + std::to_string(job.id()) + ": dag is cyclic");
+  }
+  if (!dag.sealed()) {
+    fail("dag-structure", "job " + std::to_string(job.id()) + ": dag is not sealed");
+  }
+  // The sealed order must be exactly what a fresh Kahn pass produces —
+  // the engine and the priority calculator iterate it instead of
+  // recomputing — and the fresh order covers every node once, parents
+  // strictly first.
+  const std::vector<std::uint32_t> order = dag.kahn_order();
+  const auto sealed_order = dag.topological_order();
+  if (!std::equal(order.begin(), order.end(), sealed_order.begin(), sealed_order.end())) {
+    fail("dag-structure", "job " + std::to_string(job.id()) +
+                              ": sealed topological order differs from a fresh Kahn pass");
+  }
+  std::vector<std::size_t> position(dag.node_count(), dag.node_count());
+  if (order.size() != dag.node_count()) {
+    fail("dag-structure",
+         "job " + std::to_string(job.id()) + ": topological order has " +
+             std::to_string(order.size()) + " of " + std::to_string(dag.node_count()) +
+             " nodes");
+  }
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    if (order[i] >= dag.node_count() || position[order[i]] != dag.node_count()) {
+      fail("dag-structure", "job " + std::to_string(job.id()) +
+                                ": topological order repeats or exceeds node ids");
     }
-    if (!dag.is_acyclic()) {
-      fail("dag-structure", "job " + std::to_string(job.id()) + ": dag is cyclic");
-    }
-    // Topological order covers every node once, parents strictly first.
-    const std::vector<std::size_t> order = dag.topological_order();
-    std::vector<std::size_t> position(dag.node_count(), dag.node_count());
-    if (order.size() != dag.node_count()) {
-      fail("dag-structure",
-           "job " + std::to_string(job.id()) + ": topological order has " +
-               std::to_string(order.size()) + " of " + std::to_string(dag.node_count()) +
-               " nodes");
-    }
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      if (order[i] >= dag.node_count() || position[order[i]] != dag.node_count()) {
-        fail("dag-structure", "job " + std::to_string(job.id()) +
-                                  ": topological order repeats or exceeds node ids");
+    position[order[i]] = i;
+  }
+  for (std::size_t u = 0; u < dag.node_count(); ++u) {
+    for (const std::size_t v : dag.children(u)) {
+      if (v >= dag.node_count() || position[u] >= position[v]) {
+        fail("dag-structure", "job " + std::to_string(job.id()) + ": edge " +
+                                  std::to_string(u) + "->" + std::to_string(v) +
+                                  " violates topological order");
       }
-      position[order[i]] = i;
-    }
-    for (std::size_t u = 0; u < dag.node_count(); ++u) {
-      for (const std::size_t v : dag.children(u)) {
-        if (v >= dag.node_count() || position[u] >= position[v]) {
-          fail("dag-structure", "job " + std::to_string(job.id()) + ": edge " +
-                                    std::to_string(u) + "->" + std::to_string(v) +
-                                    " violates topological order");
-        }
-        // Adjacency mirrors: every child edge has the matching parent edge.
-        const auto& ps = dag.parents(v);
-        if (std::find(ps.begin(), ps.end(), u) == ps.end()) {
-          fail("dag-structure", "job " + std::to_string(job.id()) + ": edge " +
-                                    std::to_string(u) + "->" + std::to_string(v) +
-                                    " missing from parents list");
-        }
+      // Adjacency mirrors: every child edge has the matching parent edge.
+      const auto& ps = dag.parents(v);
+      if (std::find(ps.begin(), ps.end(), u) == ps.end()) {
+        fail("dag-structure", "job " + std::to_string(job.id()) + ": edge " +
+                                  std::to_string(u) + "->" + std::to_string(v) +
+                                  " missing from parents list");
       }
     }
-    // Static spec sanity used throughout the engine's arithmetic.
-    if (job.deadline() < job.spec().arrival) {
-      fail("dag-structure",
-           "job " + std::to_string(job.id()) + ": deadline precedes arrival");
+  }
+  // Sealed sink depths against a recompute over the fresh order.
+  std::vector<std::uint32_t> depth(dag.node_count(), 0);
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    for (const std::size_t c : dag.children(*it)) {
+      depth[*it] = std::max(depth[*it], depth[c] + 1);
     }
-    for (const TaskId tid : job.tasks()) {
-      if (tid >= cluster.task_count() || cluster.task(tid).job != job.id()) {
-        fail("dag-structure", "job " + std::to_string(job.id()) + ": task id " +
-                                  std::to_string(tid) + " invalid or owned by another job");
-      }
+  }
+  const auto sealed_depth = dag.depth_to_sink();
+  if (!std::equal(depth.begin(), depth.end(), sealed_depth.begin(), sealed_depth.end())) {
+    fail("dag-structure", "job " + std::to_string(job.id()) +
+                              ": sealed depth_to_sink differs from a recompute");
+  }
+  // Static spec sanity used throughout the engine's arithmetic.
+  if (job.deadline() < job.spec().arrival) {
+    fail("dag-structure",
+         "job " + std::to_string(job.id()) + ": deadline precedes arrival");
+  }
+  for (const TaskId tid : job.tasks()) {
+    if (tid >= cluster.task_count() || cluster.task(tid).job != job.id()) {
+      fail("dag-structure", "job " + std::to_string(job.id()) + ": task id " +
+                                std::to_string(tid) + " invalid or owned by another job");
     }
   }
 }
@@ -475,6 +502,37 @@ void SimAuditor::check_link_model() const {
 void SimAuditor::check_jobs() const {
   const Cluster& cluster = engine_.cluster_;
   const SimTime now = engine_.now_;
+  // The engine's live set, rebuilt from scratch: every job that is not
+  // done and whose arrival time has passed, in id order. Everything with
+  // a future arrival must still wait in the admission heap.
+  std::vector<JobId> live;
+  std::size_t future = 0;
+  for (const Job& job : cluster.jobs()) {
+    if (job.spec().arrival > now) {
+      ++future;
+    } else if (!job.done()) {
+      live.push_back(job.id());
+    }
+  }
+  if (live != engine_.live_jobs_) {
+    const auto diff = std::mismatch(live.begin(), live.end(), engine_.live_jobs_.begin(),
+                                    engine_.live_jobs_.end());
+    const std::string expected =
+        diff.first == live.end() ? "end" : "job " + std::to_string(*diff.first);
+    const std::string actual =
+        diff.second == engine_.live_jobs_.end() ? "end" : "job " + std::to_string(*diff.second);
+    fail("live-set", "live set has " + std::to_string(engine_.live_jobs_.size()) +
+                         " jobs, expected " + std::to_string(live.size()) +
+                         "; first difference at position " +
+                         std::to_string(diff.first - live.begin()) + ": expected " + expected +
+                         ", found " + actual);
+  }
+  if (engine_.pending_arrivals_.size() != future ||
+      (future > 0 && engine_.pending_arrivals_.top().first <= now)) {
+    fail("live-set", "admission heap holds " + std::to_string(engine_.pending_arrivals_.size()) +
+                         " jobs, expected the " + std::to_string(future) +
+                         " with a future arrival");
+  }
   for (const Job& job : cluster.jobs()) {
     const JobId id = job.id();
     const bool arrived = id < arrived_.size() && arrived_[id] != 0;
@@ -564,6 +622,9 @@ void SimAuditor::check_jobs() const {
     }
     if (engine_.partial_since_[id] >= 0.0 && engine_.partial_since_[id] > now + 1e-9) {
       fail("job-state", "job " + std::to_string(id) + " partial_since in the future");
+    }
+    if (job.done() && engine_.partial_since_[id] >= 0.0) {
+      fail("job-state", "done job " + std::to_string(id) + " still has partial_since set");
     }
     if (engine_.fault_stopped_since_[id] >= 0.0 &&
         engine_.fault_stopped_since_[id] > now + 1e-9) {

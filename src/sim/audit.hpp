@@ -24,6 +24,7 @@
 
 namespace mlfs {
 
+class Job;
 class SimEngine;
 struct RunMetrics;
 
@@ -70,9 +71,9 @@ class SimAuditor {
  public:
   explicit SimAuditor(const SimEngine& engine);
 
-  /// Pre-run structural checks: every job's DAG is acyclic, its
-  /// topological order covers all nodes, and parent/child adjacency is
-  /// mirrored consistently.
+  /// Pre-run structural checks: every job's DAG is acyclic and sealed, its
+  /// sealed topological order and sink depths match a fresh Kahn pass,
+  /// and parent/child adjacency is mirrored consistently.
   void on_sim_start();
 
   /// Called after every event; runs the full invariant sweep every
@@ -89,7 +90,7 @@ class SimAuditor {
 
   /// Called by the engine right after inject_job registered a streamed
   /// job: grows the arrival-tracking vector (the new job has not arrived
-  /// yet — its Arrival event is pending).
+  /// yet — its Arrival event is pending) and runs the DAG checks on it.
   void on_job_injected();
 
   /// Re-derives the auditor's observational state from a freshly restored
@@ -108,6 +109,7 @@ class SimAuditor {
   [[noreturn]] void fail(const char* invariant, const std::string& detail) const;
 
   void check_dag_structure() const;
+  void check_job_dag(const Job& job) const;
   void check_servers_and_tasks() const;
   void check_load_index() const;
   void check_queue() const;

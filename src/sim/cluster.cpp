@@ -35,16 +35,6 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
   }
 }
 
-Server& Cluster::server(ServerId id) {
-  MLFS_EXPECT(id < servers_.size());
-  return servers_[id];
-}
-
-const Server& Cluster::server(ServerId id) const {
-  MLFS_EXPECT(id < servers_.size());
-  return servers_[id];
-}
-
 void Cluster::set_server_up(ServerId id, bool up) {
   Server& s = server(id);
   MLFS_EXPECT(s.up() != up);
@@ -202,6 +192,11 @@ std::vector<ServerId> Cluster::overloaded_servers(double hr) const {
   return overloaded_ids_;
 }
 
+std::size_t Cluster::overloaded_count(double hr) const {
+  refresh_load_index(hr, index_demand_);
+  return overloaded_ids_.size();
+}
+
 double Cluster::overload_degree() const {
   double sum = 0.0;
   std::size_t up = 0;
@@ -232,26 +227,6 @@ void Cluster::register_job(Job job, std::vector<Task> tasks) {
   }
   jobs_.push_back(std::move(job));
   job_placement_epochs_.push_back(0);
-}
-
-Task& Cluster::task(TaskId id) {
-  MLFS_EXPECT(id < tasks_.size());
-  return tasks_[id];
-}
-
-const Task& Cluster::task(TaskId id) const {
-  MLFS_EXPECT(id < tasks_.size());
-  return tasks_[id];
-}
-
-Job& Cluster::job(JobId id) {
-  MLFS_EXPECT(id < jobs_.size());
-  return jobs_[id];
-}
-
-const Job& Cluster::job(JobId id) const {
-  MLFS_EXPECT(id < jobs_.size());
-  return jobs_[id];
 }
 
 void Cluster::place_task(TaskId id, ServerId server_id, int gpu) {

@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "common/expect.hpp"
 #include "sim/link_model.hpp"
 #include "sim/server.hpp"
 #include "workload/job.hpp"
@@ -110,8 +111,16 @@ class Cluster {
   /// Effective flow bandwidth between two distinct servers (MB/s),
   /// honoring the rack topology.
   double flow_bandwidth_between(ServerId a, ServerId b) const;
-  Server& server(ServerId id);
-  const Server& server(ServerId id) const;
+  // The per-event accessors are inline: the engine and the schedulers
+  // call them tens of millions of times per run.
+  Server& server(ServerId id) {
+    MLFS_EXPECT(id < servers_.size());
+    return servers_[id];
+  }
+  const Server& server(ServerId id) const {
+    MLFS_EXPECT(id < servers_.size());
+    return servers_[id];
+  }
   const std::vector<Server>& servers() const { return servers_; }
 
   /// Marks a server up or down (fault-injection subsystem). Taking a
@@ -135,6 +144,8 @@ class Cluster {
   /// Up server ids overloaded w.r.t. `hr`, ascending (quarantined servers
   /// stay visible here: overload relief must still drain them).
   std::vector<ServerId> overloaded_servers(double hr) const;
+  /// overloaded_servers(hr).size() without copying the ids.
+  std::size_t overloaded_count(double hr) const;
 
   /// Reference view of the underloaded partition (same ids, same ascending
   /// order as underloaded_servers) — avoids copying the id vector on every
@@ -186,12 +197,24 @@ class Cluster {
   void register_job(Job job, std::vector<Task> tasks);
 
   std::size_t task_count() const { return tasks_.size(); }
-  Task& task(TaskId id);
-  const Task& task(TaskId id) const;
+  Task& task(TaskId id) {
+    MLFS_EXPECT(id < tasks_.size());
+    return tasks_[id];
+  }
+  const Task& task(TaskId id) const {
+    MLFS_EXPECT(id < tasks_.size());
+    return tasks_[id];
+  }
 
   std::size_t job_count() const { return jobs_.size(); }
-  Job& job(JobId id);
-  const Job& job(JobId id) const;
+  Job& job(JobId id) {
+    MLFS_EXPECT(id < jobs_.size());
+    return jobs_[id];
+  }
+  const Job& job(JobId id) const {
+    MLFS_EXPECT(id < jobs_.size());
+    return jobs_[id];
+  }
   std::vector<Job>& jobs() { return jobs_; }
   const std::vector<Job>& jobs() const { return jobs_; }
 

@@ -13,6 +13,27 @@
 
 namespace mlfs {
 
+namespace {
+
+/// The engine's input boundary for job timing: a NaN or infinite arrival
+/// or deadline would break the event heap's ordering (and the admission
+/// heap's), and a negative arrival precedes the simulation's start. Shared
+/// by the constructor and inject_job; runs before the job is registered.
+void check_job_times(const Job& job) {
+  const double arrival = job.spec().arrival;
+  if (!std::isfinite(arrival) || arrival < 0.0) {
+    throw ContractViolation("job " + std::to_string(job.id()) +
+                            ": arrival must be finite and >= 0, got " +
+                            std::to_string(arrival));
+  }
+  if (!std::isfinite(job.deadline())) {
+    throw ContractViolation("job " + std::to_string(job.id()) +
+                            ": deadline must be finite, got " + std::to_string(job.deadline()));
+  }
+}
+
+}  // namespace
+
 double FaultConfig::rate_multiplier(ServerId id, std::size_t server_count) const {
   if (flaky_server_fraction <= 0.0) return 1.0;
   // Same assignment rule as ClusterConfig::slow_server_fraction: the last
@@ -80,6 +101,7 @@ SimEngine::SimEngine(const ClusterConfig& cluster_config, const EngineConfig& en
   TaskId next_task = 0;
   for (const JobSpec& spec : specs) {
     auto inst = ModelZoo::instantiate(spec, next_task);
+    check_job_times(inst.job);
     next_task += static_cast<TaskId>(inst.tasks.size());
     cluster_.register_job(std::move(inst.job), std::move(inst.tasks));
   }
@@ -99,6 +121,7 @@ SimEngine::SimEngine(const ClusterConfig& cluster_config, const EngineConfig& en
     push_event(job.spec().arrival, EventType::Arrival, job.id());
     push_event(job.deadline(), EventType::Deadline, job.id());
   }
+  rebuild_live_jobs();
   // Seed the crash processes. Draws only happen for nonzero rates, so a
   // zero-rate config consumes no fault randomness at all.
   if (config_.fault.server_mtbf_hours > 0.0) {
@@ -201,6 +224,7 @@ JobId SimEngine::inject_job(JobSpec spec) {
   const auto id = static_cast<JobId>(cluster_.job_count());
   spec.id = id;
   auto inst = ModelZoo::instantiate(spec, static_cast<TaskId>(cluster_.task_count()));
+  check_job_times(inst.job);
   cluster_.register_job(std::move(inst.job), std::move(inst.tasks));
   job_epoch_.push_back(0);
   waiting_since_.push_back(0.0);
@@ -218,6 +242,8 @@ JobId SimEngine::inject_job(JobSpec spec) {
   // arrival time already in the past lands at the current instant.
   push_event(std::max(now_, job.spec().arrival), EventType::Arrival, id);
   push_event(std::max(now_, job.deadline()), EventType::Deadline, id);
+  pending_arrivals_.emplace(job.spec().arrival, id);
+  admit_arrived_jobs();
   injected_specs_.push_back(job.spec());
   if (auditor_) auditor_->on_job_injected();
   return id;
@@ -264,20 +290,48 @@ void SimEngine::resample_usage() {
 void SimEngine::compact_queue() {
   // Drop entries whose task left the queue, and any duplicates (a task
   // must appear at most once or gang placement would retry it per copy).
-  std::vector<char> seen(cluster_.task_count(), 0);
-  std::erase_if(queue_, [this, &seen](TaskId tid) {
+  if (queue_marks_.size() < cluster_.task_count()) queue_marks_.resize(cluster_.task_count(), 0);
+  std::erase_if(queue_, [this](TaskId tid) {
     const Task& t = cluster_.task(tid);
     if (t.state != TaskState::Queued || cluster_.job(t.job).done()) return true;
-    if (seen[tid]) return true;
-    seen[tid] = 1;
+    if (queue_marks_[tid]) return true;
+    queue_marks_[tid] = 1;
     return false;
   });
+  for (const TaskId tid : queue_) queue_marks_[tid] = 0;
+}
+
+void SimEngine::admit_arrived_jobs() {
+  while (!pending_arrivals_.empty() && pending_arrivals_.top().first <= now_) {
+    const JobId id = pending_arrivals_.top().second;
+    pending_arrivals_.pop();
+    live_jobs_.insert(std::upper_bound(live_jobs_.begin(), live_jobs_.end(), id), id);
+  }
+}
+
+void SimEngine::drop_done_jobs() {
+  std::erase_if(live_jobs_, [this](JobId id) { return cluster_.job(id).done(); });
+  live_jobs_have_done_ = false;
+}
+
+void SimEngine::rebuild_live_jobs() {
+  std::vector<PendingArrival> pending;
+  live_jobs_.clear();
+  for (const Job& job : cluster_.jobs()) {
+    if (job.spec().arrival > now_) {
+      pending.emplace_back(job.spec().arrival, job.id());
+    } else if (!job.done()) {
+      live_jobs_.push_back(job.id());
+    }
+  }
+  pending_arrivals_ = decltype(pending_arrivals_)(std::greater<>{}, std::move(pending));
+  live_jobs_have_done_ = false;
 }
 
 void SimEngine::run_watchdog() {
   bool any_running = false;
-  for (const Job& job : cluster_.jobs()) {
-    if (job.state() == JobState::Running) {
+  for (const JobId id : live_jobs_) {
+    if (cluster_.job(id).state() == JobState::Running) {
       any_running = true;
       break;
     }
@@ -294,7 +348,8 @@ void SimEngine::run_watchdog() {
   const JobId protected_id = protected_job();
   JobId victim = kInvalidJob;
   double lowest_placed_fraction = 2.0;
-  for (const Job& job : cluster_.jobs()) {
+  for (const JobId id : live_jobs_) {
+    const Job& job = cluster_.job(id);
     if (job.state() != JobState::Waiting || job.done()) continue;
     if (job.id() == protected_id) continue;
     std::size_t placed = 0;
@@ -448,6 +503,7 @@ void SimEngine::fail_job(Job& job) {
   prediction_.on_job_failed(job);
   fault_stopped_since_[id] = -1.0;
   partial_since_[id] = -1.0;
+  live_jobs_have_done_ = true;
   // Schedulers treat this like a completion: caches are evicted, service
   // accounting closes. The runtime predictor is *not* fed — a truncated
   // run would poison its duration estimates.
@@ -585,14 +641,15 @@ void SimEngine::handle_tick() {
   if (health_) apply_health_transitions();
   resample_usage();
   kill_random_tasks();
-  overload_occurrences_ += cluster_.overloaded_servers(config_.hr).size();
+  overload_occurrences_ += cluster_.overloaded_count(config_.hr);
   compact_queue();
 
   if (load_controller_ != nullptr) {
     load_controller_->before_schedule(cluster_, queue_, now_);
     // The controller may have lowered targets below completed counts;
     // stop any job that now satisfies its (possibly downgraded) policy.
-    for (Job& job : cluster_.jobs()) {
+    for (const JobId id : live_jobs_) {
+      Job& job = cluster_.job(id);
       if (job.done() || job.state() == JobState::Waiting) continue;
       if (job.completed_iterations() > 0 && should_stop(job)) complete_job(job);
     }
@@ -622,9 +679,9 @@ void SimEngine::handle_tick() {
 }
 
 void SimEngine::try_start_jobs() {
-  for (Job& job : cluster_.jobs()) {
+  for (const JobId id : live_jobs_) {
+    Job& job = cluster_.job(id);
     if (job.state() != JobState::Waiting || job.done()) continue;
-    if (job.spec().arrival > now_) continue;
     if (!cluster_.job_fully_placed(job)) continue;
     // All live tasks placed: accumulate waiting, start the next iteration.
     job.add_waiting_time(now_ - waiting_since_[job.id()]);
@@ -648,8 +705,9 @@ JobId SimEngine::protected_job() const {
   // approaches a full gang — the global progress guarantee.
   JobId best = kInvalidJob;
   double best_wait = -1.0;
-  for (const Job& job : cluster_.jobs()) {
-    if (job.done() || job.state() != JobState::Waiting || job.spec().arrival > now_) continue;
+  for (const JobId id : live_jobs_) {
+    const Job& job = cluster_.job(id);
+    if (job.done() || job.state() != JobState::Waiting) continue;
     const double wait = job.waiting_time() + (now_ - waiting_since_[job.id()]);
     if (wait > best_wait) {
       best_wait = wait;
@@ -661,10 +719,11 @@ JobId SimEngine::protected_job() const {
 
 void SimEngine::release_stale_partial_placements() {
   const JobId protected_id = protected_job();
-  for (Job& job : cluster_.jobs()) {
-    if (job.id() == protected_id) continue;
-    if (job.done() || job.state() != JobState::Waiting || job.spec().arrival > now_) {
-      partial_since_[job.id()] = -1.0;
+  for (const JobId id : live_jobs_) {
+    if (id == protected_id) continue;
+    const Job& job = cluster_.job(id);
+    if (job.done() || job.state() != JobState::Waiting) {
+      partial_since_[id] = -1.0;
       continue;
     }
     bool any_placed = false;
@@ -700,8 +759,8 @@ void SimEngine::release_stale_partial_placements() {
 
 double SimEngine::iteration_duration(const Job& job) {
   const Dag& dag = job.dag();
-  const std::size_t n = dag.node_count();
-  std::vector<double> finish(n, 0.0);
+  std::vector<double>& finish = finish_scratch_;
+  finish.assign(dag.node_count(), 0.0);
   double critical = 0.0;
   bool any_cross_server = false;
   // Link-level contention (opt-in): cross-server flows get the link
@@ -928,6 +987,8 @@ void SimEngine::complete_job(Job& job) {
   }
   job.set_state(JobState::Completed);
   job.set_completion_time(now_);
+  partial_since_[job.id()] = -1.0;
+  live_jobs_have_done_ = true;
   ++jobs_completed_;
   prediction_.on_job_complete(job);
   scheduler_.on_job_complete(job, now_);
@@ -982,6 +1043,7 @@ bool SimEngine::step() {
   if (ev.time > config_.max_sim_time) return false;
   MLFS_EXPECT(ev.time + 1e-9 >= now_);
   now_ = std::max(now_, ev.time);
+  admit_arrived_jobs();
   // Event-stream hash: chained over every accepted event's identity before
   // dispatch, so two runs agree iff they processed the same events in the
   // same order — the byte-identical-resume contract.
@@ -1014,6 +1076,7 @@ bool SimEngine::step() {
       handle_retry_release(static_cast<TaskId>(ev.job));
       break;
   }
+  if (live_jobs_have_done_) drop_done_jobs();
   if (auditor_) auditor_->after_event(name, ev.job);
   return jobs_completed_ + jobs_failed_ != cluster_.job_count();
 }

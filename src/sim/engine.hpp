@@ -19,6 +19,7 @@
 #include <iosfwd>
 #include <memory>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -348,6 +349,18 @@ class SimEngine final : private SchedulerOps {
   void release_stale_partial_placements();
   JobId protected_job() const;
 
+  // -- live-job set (derived state: rebuilt on restore, never serialized) --
+  /// Moves every pending job with spec().arrival <= now_ into live_jobs_.
+  /// Runs whenever the clock may have advanced (each step, each injection),
+  /// so the tick walks see exactly the jobs the old full-table predicate
+  /// `arrival <= now_ && !done()` selected — including a job whose Arrival
+  /// event shares the instant but has not run yet.
+  void admit_arrived_jobs();
+  /// Drops done jobs from live_jobs_ (after an event finished any).
+  void drop_done_jobs();
+  /// Re-derives pending_arrivals_ and live_jobs_ from the job table.
+  void rebuild_live_jobs();
+
   // -- fault injection --
   /// Pushes the next random ServerDown for `id` (MTBF exponential draw).
   void schedule_server_crash(ServerId id);
@@ -416,6 +429,19 @@ class SimEngine final : private SchedulerOps {
   std::uint64_t event_hash_ = 1469598103934665603ull;  ///< FNV-1a offset basis
 
   std::vector<TaskId> queue_;
+  /// Jobs not yet admitted to live_jobs_, min-heap on (spec().arrival, id).
+  using PendingArrival = std::pair<SimTime, JobId>;
+  std::priority_queue<PendingArrival, std::vector<PendingArrival>, std::greater<>>
+      pending_arrivals_;
+  /// {j : !j.done() && j.spec().arrival <= now_}, ascending id: the only
+  /// jobs the per-tick walks visit. Jobs finishing inside an event stay
+  /// until the event ends (walks still test done()).
+  std::vector<JobId> live_jobs_;
+  bool live_jobs_have_done_ = false;
+  // Reused scratch: compact_queue's duplicate marks (all zero between
+  // calls) and iteration_duration's per-node finish times.
+  std::vector<char> queue_marks_;
+  std::vector<double> finish_scratch_;
   std::vector<std::uint64_t> job_epoch_;     // per job, bumped on abort/start
   std::vector<SimTime> waiting_since_;       // per job, valid while Waiting
   std::vector<SimTime> partial_since_;       // per job, -1 = not partially placed

@@ -398,6 +398,10 @@ void SimEngine::restore_snapshot(std::istream& is) {
     load_controller_->restore_state(section);
   }
 
+  // The live-job set and the pending-arrival heap are derived from the
+  // restored clock and job states, never serialized.
+  rebuild_live_jobs();
+
   // The auditor is never serialized: it re-derives its observational state
   // from the restored engine (keeping the stride phase aligned) and
   // immediately sweeps the full invariant catalog.

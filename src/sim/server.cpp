@@ -64,11 +64,6 @@ ResourceVector Server::utilization() const {
   return {gpu_total / static_cast<double>(gpu_count_), cpu_sum_, mem_sum_, net_sum_};
 }
 
-double Server::gpu_load(int gpu) const {
-  MLFS_EXPECT(gpu >= 0 && gpu < gpu_count_);
-  return gpu_sums_[static_cast<std::size_t>(gpu)];
-}
-
 int Server::least_loaded_gpu() const {
   int best = 0;
   for (int g = 1; g < gpu_count_; ++g) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/binio.hpp"
+#include "common/expect.hpp"
 #include "workload/job.hpp"
 
 namespace mlfs {
@@ -68,7 +69,10 @@ class Server {
   ResourceVector utilization() const;
 
   /// Load of one GPU: sum of gpu-demand × usage_factor of its tasks.
-  double gpu_load(int gpu) const;
+  double gpu_load(int gpu) const {
+    MLFS_EXPECT(gpu >= 0 && gpu < gpu_count_);
+    return gpu_sums_[static_cast<std::size_t>(gpu)];
+  }
 
   /// Index of the least-loaded GPU.
   int least_loaded_gpu() const;

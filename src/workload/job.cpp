@@ -45,6 +45,7 @@ Job::Job(JobSpec spec, Dag dag, std::vector<TaskId> task_ids, double total_param
       curve_(spec_.curve),
       active_policy_(spec_.stop_policy),
       target_iterations_(spec_.max_iterations) {
+  MLFS_EXPECT(dag_.sealed());
   MLFS_EXPECT(dag_.node_count() == task_ids_.size());
   MLFS_EXPECT(!task_ids_.empty());
   MLFS_EXPECT(spec_.max_iterations >= 1);

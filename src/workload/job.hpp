@@ -77,7 +77,9 @@ struct Task {
 
 /// Runtime job: static spec + DAG + per-iteration progress. Task structs
 /// live in a global pool owned by the cluster; the job stores their ids
-/// (tasks()[local_index] is the global id of DAG node local_index).
+/// (tasks()[local_index] is the global id of DAG node local_index). The
+/// DAG arrives sealed (Dag::seal), so its orders are computed exactly once
+/// per job.
 class Job {
  public:
   Job(JobSpec spec, Dag dag, std::vector<TaskId> task_ids, double total_params_m,

@@ -136,6 +136,9 @@ ModelZoo::Instantiated ModelZoo::instantiate(const JobSpec& spec, TaskId first_t
     // Ensure connectivity even if every worker had children (layered case
     // where only last-stage nodes are sinks is already handled above).
   }
+  // The graph is final: seal it so the job carries its topological order
+  // and sink depths from here on.
+  dag.seal();
 
   // --- per-task compute time ---
   // Sequential chain: partition times sum to ~base (a batch flows through

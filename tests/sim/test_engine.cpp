@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <string>
+
+#include "common/expect.hpp"
 #include "sched/fair.hpp"
 #include "sched/util.hpp"
 #include "workload/trace.hpp"
@@ -235,6 +240,64 @@ TEST(SimEngine, BandwidthAccruesForCrossServerJobs) {
   SimEngine engine(four_by_four(), {}, specs, scheduler);
   const RunMetrics m = engine.run();
   EXPECT_GT(m.bandwidth_tb, 0.0);
+}
+
+// Job timing is checked at the engine's input boundary, before the job is
+// registered or any event is queued: a NaN arrival used to enter the event
+// heap unchecked and fail mid-run in step().
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+void expect_rejected(const std::function<void()>& submit, const std::string& needle) {
+  try {
+    submit();
+    ADD_FAILURE() << "accepted; expected a rejection mentioning '" << needle << "'";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
+}
+
+TEST(SimEngineInput, ConstructorRejectsBadArrivalOrDeadlineNamingTheJob) {
+  GreedyScheduler scheduler;
+  for (const double arrival : {kNan, kInf, -1.0}) {
+    auto specs = small_trace(3);
+    specs[1].arrival = arrival;
+    expect_rejected([&] { SimEngine engine(four_by_four(), {}, specs, scheduler); },
+                    "job " + std::to_string(specs[1].id) + ": arrival must be finite and >= 0");
+  }
+  auto specs = small_trace(3);
+  specs[2].deadline_slack_hours = kInf;
+  expect_rejected([&] { SimEngine engine(four_by_four(), {}, specs, scheduler); },
+                  "job " + std::to_string(specs[2].id) + ": deadline must be finite");
+}
+
+TEST(SimEngineInput, InjectJobRejectsBadArrivalOrDeadlineWithoutChangingTheEngine) {
+  GreedyScheduler scheduler;
+  SimEngine engine(four_by_four(), {}, small_trace(5), scheduler);
+  for (int i = 0; i < 40 && engine.step(); ++i) {
+  }
+  const std::size_t jobs = engine.cluster().job_count();
+  const std::size_t tasks = engine.cluster().task_count();
+  const std::string next = "job " + std::to_string(jobs) + ": ";
+  for (const double arrival : {kNan, -kInf, -0.5}) {
+    JobSpec spec = small_trace(1, 7).front();
+    spec.arrival = arrival;
+    expect_rejected([&] { engine.inject_job(spec); }, next + "arrival must be finite and >= 0");
+  }
+  JobSpec spec = small_trace(1, 7).front();
+  spec.deadline_slack_hours = kInf;
+  expect_rejected([&] { engine.inject_job(spec); }, next + "deadline must be finite");
+
+  EXPECT_EQ(engine.cluster().job_count(), jobs);
+  EXPECT_EQ(engine.cluster().task_count(), tasks);
+  EXPECT_TRUE(engine.injected_specs().empty());
+  // A valid spec is still accepted, and the run completes.
+  spec.deadline_slack_hours = 4.0;
+  spec.arrival = engine.now();
+  EXPECT_EQ(engine.inject_job(spec), static_cast<JobId>(jobs));
+  const RunMetrics m = engine.run();
+  EXPECT_EQ(m.job_count, jobs + 1);
+  EXPECT_EQ(m.jobs_censored, 0u);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "sim/health.hpp"
 #include "sim/snapshot.hpp"
 #include "workload/model_zoo.hpp"
+#include "workload/trace.hpp"
 
 namespace mlfs {
 namespace {
@@ -699,6 +700,85 @@ TEST(SnapshotRegression, ReinforceAgentFullStateRoundTrips) {
   std::ostringstream resaved(std::ios::binary);
   twin.save_state(resaved);
   EXPECT_EQ(resaved.str(), saved.str());
+}
+
+// The engine's live-job set and pending-arrival heap are derived state:
+// neither is serialized, both are rebuilt on restore. A cut right after a
+// scheduling tick that left a gang partially placed, with trace and
+// injected arrivals still pending, must resume bit-identically — under
+// the auditor, which re-derives the live set from scratch at every event.
+struct PlacementCounter final : EngineObserver {
+  std::size_t placements = 0;
+  void on_task_placed(SimTime, TaskId, ServerId, int) override { ++placements; }
+};
+
+bool has_partial_gang(const Cluster& cluster) {
+  for (const Job& job : cluster.jobs()) {
+    if (job.done() || job.state() != JobState::Waiting) continue;
+    std::size_t placed = 0;
+    for (const TaskId tid : job.tasks()) placed += cluster.task(tid).placed() ? 1 : 0;
+    if (placed > 0 && !cluster.job_fully_placed(job)) return true;
+  }
+  return false;
+}
+
+bool has_pending_arrival(const Cluster& cluster, SimTime now) {
+  for (const Job& job : cluster.jobs()) {
+    if (job.spec().arrival > now) return true;
+  }
+  return false;
+}
+
+TEST(SnapshotEngine, RestoreAtTickWithPartialPlacementsAndPendingArrivals) {
+  exp::RunRequest request = engine_request();
+  request.label = "snapshot-live-set";
+  request.trace.num_jobs = 16;
+  request.trace.duration_hours = 3.0;
+  request.trace.max_gpu_request = 8;
+
+  exp::EngineBundle donor = exp::build_engine(request);
+  PlacementCounter counter;
+  donor.engine->set_observer(&counter);
+  bool found = false;
+  for (int i = 0; i < 5000 && !found; ++i) {
+    const std::size_t before = counter.placements;
+    if (!donor.engine->step()) break;
+    // Placements only happen inside a scheduling round, so this event was
+    // a tick.
+    found = counter.placements > before && has_partial_gang(donor.engine->cluster()) &&
+            has_pending_arrival(donor.engine->cluster(), donor.engine->now());
+  }
+  ASSERT_TRUE(found) << "no tick left a partial gang with arrivals pending";
+  donor.engine->set_observer(nullptr);
+
+  // Streamed jobs on top: one due at this very instant (admitted before its
+  // Arrival event runs), one far in the future.
+  JobSpec now_spec = request.workload ? request.workload->front()
+                                      : PhillyTraceGenerator(request.trace).generate().front();
+  JobSpec later_spec = now_spec;
+  now_spec.arrival = donor.engine->now();
+  later_spec.arrival = donor.engine->now() + hours(2.0);
+  donor.engine->inject_job(now_spec);
+  donor.engine->inject_job(later_spec);
+  const std::string bytes = engine_snapshot_bytes(*donor.engine);
+
+  exp::EngineBundle twin = exp::build_engine(request);
+  {
+    std::istringstream is(bytes, std::ios::binary);
+    twin.engine->restore_snapshot(is);
+  }
+  EXPECT_EQ(twin.engine->event_stream_hash(), donor.engine->event_stream_hash());
+  EXPECT_EQ(engine_snapshot_bytes(*twin.engine), bytes);
+
+  while (donor.engine->step()) {
+  }
+  while (twin.engine->step()) {
+  }
+  const RunMetrics expected = donor.engine->finalize();
+  const RunMetrics actual = twin.engine->finalize();
+  EXPECT_EQ(actual.event_stream_hash, expected.event_stream_hash);
+  EXPECT_EQ(actual.jobs_injected, 2u);
+  EXPECT_TRUE(deterministic_equal(expected, actual));
 }
 
 }  // namespace

@@ -9,13 +9,14 @@
 namespace mlfs {
 namespace {
 
-/// Diamond: 0 -> {1, 2} -> 3.
+/// Diamond: 0 -> {1, 2} -> 3, sealed.
 Dag diamond() {
   Dag d(4);
   d.add_edge(0, 1);
   d.add_edge(0, 2);
   d.add_edge(1, 3);
   d.add_edge(2, 3);
+  d.seal();
   return d;
 }
 
@@ -57,10 +58,11 @@ TEST(Dag, TopologicalOrderRespectsEdges) {
 
 TEST(Dag, ReverseTopologicalIsReversed) {
   const Dag d = diamond();
-  auto fwd = d.topological_order();
-  auto rev = d.reverse_topological_order();
+  const auto fwd = d.topological_order();
+  const auto reversed = d.reverse_topological_order();
+  std::vector<std::size_t> rev(reversed.begin(), reversed.end());
   std::reverse(rev.begin(), rev.end());
-  EXPECT_EQ(fwd, rev);
+  EXPECT_TRUE(std::equal(fwd.begin(), fwd.end(), rev.begin(), rev.end()));
 }
 
 TEST(Dag, CycleDetection) {
@@ -70,7 +72,9 @@ TEST(Dag, CycleDetection) {
   EXPECT_TRUE(d.is_acyclic());
   d.add_edge(2, 0);
   EXPECT_FALSE(d.is_acyclic());
-  EXPECT_THROW(d.topological_order(), ContractViolation);
+  EXPECT_THROW(d.kahn_order(), ContractViolation);
+  EXPECT_THROW(d.seal(), ContractViolation);
+  EXPECT_FALSE(d.sealed());
 }
 
 TEST(Dag, Layers) {
@@ -109,6 +113,7 @@ TEST(Dag, DepthToSink) {
 TEST(Dag, ChainProperties) {
   Dag d(5);
   for (std::size_t i = 0; i + 1 < 5; ++i) d.add_edge(i, i + 1);
+  d.seal();
   const auto counts = d.descendant_counts();
   const auto depth = d.depth_to_sink();
   for (std::size_t i = 0; i < 5; ++i) {
@@ -120,12 +125,15 @@ TEST(Dag, ChainProperties) {
 TEST(Dag, EmptyAndSingleNode) {
   Dag empty;
   EXPECT_EQ(empty.node_count(), 0u);
+  empty.seal();
   EXPECT_TRUE(empty.topological_order().empty());
 
   Dag one(1);
   EXPECT_TRUE(one.is_source(0));
   EXPECT_TRUE(one.is_sink(0));
-  EXPECT_EQ(one.topological_order(), std::vector<std::size_t>{0});
+  one.seal();
+  ASSERT_EQ(one.topological_order().size(), 1u);
+  EXPECT_EQ(one.topological_order()[0], 0u);
 }
 
 TEST(Dag, DisconnectedComponents) {
@@ -133,10 +141,39 @@ TEST(Dag, DisconnectedComponents) {
   d.add_edge(0, 1);
   d.add_edge(2, 3);
   EXPECT_TRUE(d.is_acyclic());
+  d.seal();
   EXPECT_EQ(d.topological_order().size(), 4u);
   const auto counts = d.descendant_counts();
   EXPECT_EQ(counts[0], 1u);
   EXPECT_EQ(counts[2], 1u);
+}
+
+TEST(Dag, SealedOrderIsTheKahnOrder) {
+  Dag d(6);
+  d.add_edge(0, 3);
+  d.add_edge(1, 3);
+  d.add_edge(3, 4);
+  d.add_edge(2, 5);
+  EXPECT_FALSE(d.sealed());
+  EXPECT_THROW((void)d.topological_order(), ContractViolation);
+  EXPECT_THROW((void)d.depth_to_sink(), ContractViolation);
+  const std::vector<std::uint32_t> fresh = d.kahn_order();
+  d.seal();
+  const auto order = d.topological_order();
+  EXPECT_TRUE(std::equal(order.begin(), order.end(), fresh.begin(), fresh.end()));
+  const auto depth = d.depth_to_sink();
+  EXPECT_EQ(depth[0], 2u);
+  EXPECT_EQ(depth[3], 1u);
+  EXPECT_EQ(depth[2], 1u);
+  EXPECT_EQ(depth[5], 0u);
+}
+
+TEST(Dag, SealedDagRejectsEdgesAndResealing) {
+  Dag d = diamond();
+  EXPECT_TRUE(d.sealed());
+  EXPECT_THROW(d.add_edge(0, 3), ContractViolation);
+  EXPECT_THROW(d.seal(), ContractViolation);
+  EXPECT_EQ(d.edge_count(), 4u);
 }
 
 }  // namespace

@@ -38,9 +38,13 @@ TEST(ModelZoo, SequentialStyleBuildsChain) {
       ModelZoo::instantiate(base_spec(MlAlgorithm::Mlp, 4, CommStructure::AllReduce), 0);
   const Dag& dag = inst.job.dag();
   EXPECT_EQ(dag.node_count(), 4u);  // no PS under all-reduce
-  EXPECT_EQ(dag.children(0), std::vector<std::size_t>{1});
-  EXPECT_EQ(dag.children(1), std::vector<std::size_t>{2});
-  EXPECT_EQ(dag.children(2), std::vector<std::size_t>{3});
+  const auto children = [&dag](std::size_t u) {
+    const auto kids = dag.children(u);
+    return std::vector<std::size_t>(kids.begin(), kids.end());
+  };
+  EXPECT_EQ(children(0), std::vector<std::size_t>{1});
+  EXPECT_EQ(children(1), std::vector<std::size_t>{2});
+  EXPECT_EQ(children(2), std::vector<std::size_t>{3});
   EXPECT_TRUE(dag.is_sink(3));
 }
 
