@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -25,14 +26,21 @@ class BinWriter {
  public:
   explicit BinWriter(std::ostream& os) : os_(os) {}
 
-  void u8(std::uint8_t v) { os_.put(static_cast<char>(v)); }
+  void u8(std::uint8_t v) {
+    const char c = static_cast<char>(v);
+    put(&c, 1);
+  }
 
   void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) os_.put(static_cast<char>((v >> (8 * i)) & 0xff));
+    char b[4];
+    for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    put(b, sizeof(b));
   }
 
   void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) os_.put(static_cast<char>((v >> (8 * i)) & 0xff));
+    char b[8];
+    for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    put(b, sizeof(b));
   }
 
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
@@ -43,12 +51,10 @@ class BinWriter {
 
   void str(const std::string& s) {
     u64(s.size());
-    os_.write(s.data(), static_cast<std::streamsize>(s.size()));
+    put(s.data(), s.size());
   }
 
-  void bytes(const char* data, std::size_t n) {
-    os_.write(data, static_cast<std::streamsize>(n));
-  }
+  void bytes(const char* data, std::size_t n) { put(data, n); }
 
   template <typename T, typename WriteOne>
   void vec(const std::vector<T>& v, WriteOne&& write_one) {
@@ -67,6 +73,17 @@ class BinWriter {
   std::ostream& stream() { return os_; }
 
  private:
+  // Each value goes to the stream buffer as one block rather than byte by
+  // byte through the formatted-stream layer. A short write sets badbit,
+  // which callers check once after the whole payload.
+  void put(const char* data, std::size_t n) {
+    std::streambuf* buf = os_.rdbuf();
+    if (buf == nullptr || buf->sputn(data, static_cast<std::streamsize>(n)) !=
+                              static_cast<std::streamsize>(n)) {
+      os_.setstate(std::ios::badbit);
+    }
+  }
+
   std::ostream& os_;
 };
 
@@ -75,20 +92,24 @@ class BinReader {
   explicit BinReader(std::istream& is) : is_(is) {}
 
   std::uint8_t u8() {
-    const int c = is_.get();
-    if (c == std::istream::traits_type::eof()) underrun();
+    char c;
+    get(&c, 1);
     return static_cast<std::uint8_t>(c);
   }
 
   std::uint32_t u32() {
+    unsigned char b[4];
+    get(reinterpret_cast<char*>(b), sizeof(b));
     std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(u8()) << (8 * i);
+    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
     return v;
   }
 
   std::uint64_t u64() {
+    unsigned char b[8];
+    get(reinterpret_cast<char*>(b), sizeof(b));
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(u8()) << (8 * i);
+    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
     return v;
   }
 
@@ -108,8 +129,7 @@ class BinReader {
       const std::size_t at = s.size();
       const std::size_t chunk = static_cast<std::size_t>(std::min<std::uint64_t>(n - at, kChunk));
       s.resize(at + chunk);
-      is_.read(s.data() + at, static_cast<std::streamsize>(chunk));
-      if (static_cast<std::size_t>(is_.gcount()) != chunk) underrun();
+      get(s.data() + at, chunk);
     }
     return s;
   }
@@ -149,6 +169,16 @@ class BinReader {
 
  private:
   static constexpr std::uint64_t kChunk = 1 << 16;
+
+  // Reads straight from the stream buffer, one block per value; a short
+  // read is an underrun.
+  void get(char* data, std::size_t n) {
+    std::streambuf* buf = is_.rdbuf();
+    if (buf == nullptr || buf->sgetn(data, static_cast<std::streamsize>(n)) !=
+                              static_cast<std::streamsize>(n)) {
+      underrun();
+    }
+  }
 
   [[noreturn]] void underrun() const {
     throw ContractViolation("binary read past end of stream");

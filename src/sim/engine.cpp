@@ -13,13 +13,10 @@
 
 namespace mlfs {
 
-namespace {
-
-/// The engine's input boundary for job timing: a NaN or infinite arrival
-/// or deadline would break the event heap's ordering (and the admission
-/// heap's), and a negative arrival precedes the simulation's start. Shared
-/// by the constructor and inject_job; runs before the job is registered.
-void check_job_times(const Job& job) {
+void SimEngine::check_job_times(const Job& job) {
+  // A NaN or infinite arrival or deadline would break the event heap's
+  // ordering (and the admission heap's), and a negative arrival precedes
+  // the simulation's start.
   const double arrival = job.spec().arrival;
   if (!std::isfinite(arrival) || arrival < 0.0) {
     throw ContractViolation("job " + std::to_string(job.id()) +
@@ -31,8 +28,6 @@ void check_job_times(const Job& job) {
                             ": deadline must be finite, got " + std::to_string(job.deadline()));
   }
 }
-
-}  // namespace
 
 double FaultConfig::rate_multiplier(ServerId id, std::size_t server_count) const {
   if (flaky_server_fraction <= 0.0) return 1.0;
@@ -136,6 +131,7 @@ SimEngine::SimEngine(const ClusterConfig& cluster_config, const EngineConfig& en
     auditor_ = std::make_unique<SimAuditor>(*this);
     auditor_->on_sim_start();
   }
+  config_fingerprint_ = compute_config_fingerprint();
 }
 
 void SimEngine::push_event(SimTime time, EventType type, JobId job, std::uint64_t epoch) {

@@ -236,8 +236,9 @@ class SimEngine final : private SchedulerOps {
   /// the scheduler (+ controller) identity. Stamped into every snapshot;
   /// restore_snapshot rejects a file written under a different fingerprint
   /// (audit settings are deliberately excluded — the auditor is a pure
-  /// observer and resyncs after restore).
-  std::uint64_t config_fingerprint() const;
+  /// observer and resyncs after restore). Everything it covers is fixed
+  /// at construction, so it is computed once there.
+  std::uint64_t config_fingerprint() const { return config_fingerprint_; }
 
   /// Serializes the engine's complete dynamic state (see DESIGN.md,
   /// "Snapshot & restore"): event queue, cluster/server/task/job state,
@@ -295,6 +296,13 @@ class SimEngine final : private SchedulerOps {
 
  private:
   friend class SimAuditor;  // reads raw engine state; mutates nothing
+
+  /// The engine's input boundary for job timing: throws ContractViolation
+  /// naming the job when its arrival is not finite and >= 0 or its
+  /// deadline is not finite. Runs before the job is registered (by the
+  /// constructor, inject_job and the restore of streamed jobs).
+  static void check_job_times(const Job& job);
+  std::uint64_t compute_config_fingerprint() const;
 
   // -- SchedulerOps --
   bool place(TaskId task, ServerId server, int gpu) override;
@@ -405,6 +413,7 @@ class SimEngine final : private SchedulerOps {
   ArrivalSource* arrival_source_ = nullptr;
   /// Jobs registered at construction; specs beyond this are injections.
   std::size_t base_job_count_ = 0;
+  std::uint64_t config_fingerprint_ = 0;
   std::vector<JobSpec> injected_specs_;
   Rng rng_;
   /// Dedicated stream for every fault draw: fault injection must not

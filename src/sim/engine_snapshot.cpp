@@ -43,7 +43,7 @@ std::vector<char> read_char_vec(io::BinReader& r) {
 
 }  // namespace
 
-std::uint64_t SimEngine::config_fingerprint() const {
+std::uint64_t SimEngine::compute_config_fingerprint() const {
   // Canonical little-endian serialization of everything that determines
   // the simulation's static structure and its random streams; AuditConfig
   // is deliberately excluded (the auditor is a pure observer — restoring
@@ -283,12 +283,22 @@ void SimEngine::restore_snapshot(std::istream& is) {
                           "restore target already has injected jobs; restore requires a "
                           "freshly constructed engine");
     }
+    // Every spec passes the same boundary check inject_job applies before
+    // any of them is registered, so a crafted section cannot put a NaN
+    // arrival into the event heap or leave the engine half-grown.
+    std::vector<ModelZoo::Instantiated> instances;
+    TaskId next_task = static_cast<TaskId>(cluster_.task_count());
     for (std::uint64_t i = 0; i < count; ++i) {
-      JobSpec spec = read_job_spec(r);
-      MLFS_EXPECT(spec.id == static_cast<JobId>(cluster_.job_count()));
-      auto inst = ModelZoo::instantiate(spec, static_cast<TaskId>(cluster_.task_count()));
+      const JobSpec spec = read_job_spec(r);
+      MLFS_EXPECT(spec.id == static_cast<JobId>(cluster_.job_count() + i));
+      auto inst = ModelZoo::instantiate(spec, next_task);
+      check_job_times(inst.job);
+      next_task += static_cast<TaskId>(inst.tasks.size());
+      instances.push_back(std::move(inst));
+    }
+    for (auto& inst : instances) {
+      injected_specs_.push_back(inst.job.spec());
       cluster_.register_job(std::move(inst.job), std::move(inst.tasks));
-      injected_specs_.push_back(spec);
     }
   }
 

@@ -5,6 +5,7 @@
 #include <istream>
 #include <memory>
 #include <ostream>
+#include <sstream>
 
 namespace mlfs {
 
@@ -137,7 +138,10 @@ struct FileCursor {
 }  // namespace
 
 SnapshotReader::SnapshotReader(std::istream& is, std::uint64_t expected_fingerprint) {
-  std::string bytes((std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
+  // One bulk copy out of the stream buffer, not a character at a time.
+  std::ostringstream slurp;
+  slurp << is.rdbuf();
+  const std::string bytes = std::move(slurp).str();
   FileCursor c{bytes};
 
   const std::string magic = c.raw(sizeof(kSnapshotMagic), "header", "magic");

@@ -43,8 +43,12 @@ inline constexpr char kSnapshotMagic[8] = {'M', 'L', 'F', 'S', 'S', 'N', 'A', 'P
 /// placement index (its flags left the config fingerprint and its query
 /// counters left the "cluster" section, as did the linear-candidate count
 /// in the scheduler payload) and writes the load index's dirty list in
-/// ascending order. Pre-v6 files are rejected by the version check.
-inline constexpr std::uint32_t kSnapshotVersion = 6;
+/// ascending order. v7: a job's progress in the "cluster" section is its
+/// completed-iteration count instead of one delta-loss per completed
+/// iteration (the history is a pure function of the iteration index), so
+/// the section no longer grows with iterations run. Files of any other
+/// version are rejected by the version check.
+inline constexpr std::uint32_t kSnapshotVersion = 7;
 
 /// Structured rejection of a snapshot file. Subclasses ContractViolation so
 /// existing catch sites handle it; carries the failing section (or the

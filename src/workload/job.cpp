@@ -1,6 +1,8 @@
 #include "workload/job.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 
 #include "common/binio.hpp"
 #include "common/expect.hpp"
@@ -51,24 +53,27 @@ Job::Job(JobSpec spec, Dag dag, std::vector<TaskId> task_ids, double total_param
   MLFS_EXPECT(spec_.max_iterations >= 1);
   MLFS_EXPECT(total_params_m_ > 0.0);
   MLFS_EXPECT(ideal_iteration_seconds_ > 0.0);
-  loss_reductions_.reserve(static_cast<std::size_t>(spec_.max_iterations));
 }
 
 void Job::complete_iteration() {
-  const int next = completed_iterations() + 1;
+  const int next = completed_ + 1;
   MLFS_EXPECT(next <= spec_.max_iterations);
-  const double dl = curve_.observed_delta_loss(next);
-  loss_reductions_.push_back(dl);
-  cumulative_loss_reduction_ += dl;
+  last_reduction_ = curve_.observed_delta_loss(next);
+  cumulative_loss_reduction_ += last_reduction_;
+  completed_ = next;
 }
 
 void Job::rollback_iterations(int n) {
   MLFS_EXPECT(n >= 0);
-  const int drop = std::min(n, completed_iterations());
+  const int drop = std::min(n, completed_);
+  if (drop == 0) return;
+  // Newest first: the same values complete_iteration added, subtracted in
+  // reverse order, so the cumulative sum unwinds bit-identically.
   for (int i = 0; i < drop; ++i) {
-    cumulative_loss_reduction_ -= loss_reductions_.back();
-    loss_reductions_.pop_back();
+    cumulative_loss_reduction_ -= curve_.observed_delta_loss(completed_);
+    --completed_;
   }
+  last_reduction_ = completed_ > 0 ? curve_.observed_delta_loss(completed_) : 0.0;
 }
 
 bool Job::downgrade_policy(StopPolicy policy) {
@@ -90,7 +95,7 @@ void Job::set_target_iterations(int n) {
 }
 
 void Job::save_state(io::BinWriter& w) const {
-  w.vec_f64(loss_reductions_);
+  w.i64(completed_);
   w.f64(cumulative_loss_reduction_);
   w.u8(static_cast<std::uint8_t>(active_policy_));
   w.i64(target_iterations_);
@@ -102,15 +107,47 @@ void Job::save_state(io::BinWriter& w) const {
 }
 
 void Job::restore_state(io::BinReader& r) {
-  loss_reductions_ = r.vec_f64();
-  cumulative_loss_reduction_ = r.f64();
-  active_policy_ = static_cast<StopPolicy>(r.u8());
-  target_iterations_ = static_cast<int>(r.i64());
-  deadline_ = r.f64();
-  state_ = static_cast<JobState>(r.u8());
-  completion_time_ = r.f64();
-  waiting_time_ = r.f64();
-  iterations_at_deadline_ = static_cast<int>(r.i64());
+  // Read everything into locals and adopt it only once it all checks out,
+  // so a rejected payload leaves the job unchanged.
+  const std::int64_t completed = r.i64();
+  const double cumulative = r.f64();
+  const std::uint8_t policy = r.u8();
+  const std::int64_t target = r.i64();
+  const double deadline = r.f64();
+  const std::uint8_t state = r.u8();
+  const double completion_time = r.f64();
+  const double waiting_time = r.f64();
+  const std::int64_t at_deadline = r.i64();
+
+  const auto reject = [this](const std::string& what) {
+    throw ContractViolation("job " + std::to_string(id()) + " restore: " + what);
+  };
+  const std::int64_t max = spec_.max_iterations;
+  if (completed < 0 || completed > max) {
+    reject("completed iterations " + std::to_string(completed) + " outside [0, " +
+           std::to_string(max) + "]");
+  }
+  if (target < completed || target > max) {
+    reject("target iterations " + std::to_string(target) + " outside [" +
+           std::to_string(completed) + ", " + std::to_string(max) + "]");
+  }
+  if (policy > static_cast<std::uint8_t>(StopPolicy::AccuracyOnly)) {
+    reject("stop policy byte " + std::to_string(policy) + " is not a StopPolicy");
+  }
+  if (state > static_cast<std::uint8_t>(JobState::Failed)) {
+    reject("state byte " + std::to_string(state) + " is not a JobState");
+  }
+
+  completed_ = static_cast<int>(completed);
+  last_reduction_ = completed_ > 0 ? curve_.observed_delta_loss(completed_) : 0.0;
+  cumulative_loss_reduction_ = cumulative;
+  active_policy_ = static_cast<StopPolicy>(policy);
+  target_iterations_ = static_cast<int>(target);
+  deadline_ = deadline;
+  state_ = static_cast<JobState>(state);
+  completion_time_ = completion_time;
+  waiting_time_ = waiting_time;
+  iterations_at_deadline_ = static_cast<int>(at_deadline);
 }
 
 double Job::accuracy_by_deadline() const {

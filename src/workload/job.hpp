@@ -103,7 +103,7 @@ class Job {
   }
 
   // -- iteration progress --
-  int completed_iterations() const { return static_cast<int>(loss_reductions_.size()); }
+  int completed_iterations() const { return completed_; }
   /// Records completion of the next iteration and its observed delta-loss.
   void complete_iteration();
   /// Discards the most recent `n` completed iterations (capped at the
@@ -112,7 +112,10 @@ class Job {
   /// reproduces the same observed delta-losses (the curve is a pure
   /// function of the iteration index), so accounting stays replayable.
   void rollback_iterations(int n);
-  const std::vector<double>& loss_reductions() const { return loss_reductions_; }
+  /// Observed delta-loss of the most recent completed iteration (0 before
+  /// the first). The per-iteration history is not stored: iteration i's
+  /// reduction is always curve().observed_delta_loss(i).
+  double last_loss_reduction() const { return last_reduction_; }
   double cumulative_loss_reduction() const { return cumulative_loss_reduction_; }
   /// Noise-free accuracy at the current iteration count.
   double current_accuracy() const { return curve_.accuracy_at(completed_iterations()); }
@@ -155,11 +158,13 @@ class Job {
   }
 
   /// Snapshot support: serializes/restores the dynamic progress state
-  /// (spec/DAG/curve are static and rebuilt by construction). The
-  /// cumulative loss reduction is stored bit-exactly rather than re-summed
-  /// — complete_iteration/rollback_iterations accumulate it add-then-
-  /// subtract, so its float value depends on the history, not just the
-  /// surviving elements.
+  /// (spec/DAG/curve are static and rebuilt by construction). Progress is
+  /// the completed count; the last reduction is re-derived from the curve.
+  /// The cumulative loss reduction is stored bit-exactly rather than
+  /// re-summed — complete_iteration/rollback_iterations accumulate it
+  /// add-then-subtract, so its float value depends on the history, not
+  /// just the surviving iterations. restore_state validates every field
+  /// against the spec before adopting any (ContractViolation otherwise).
   void save_state(io::BinWriter& w) const;
   void restore_state(io::BinReader& r);
 
@@ -171,7 +176,8 @@ class Job {
   double ideal_iteration_seconds_;
   LossCurve curve_;
 
-  std::vector<double> loss_reductions_;
+  int completed_ = 0;
+  double last_reduction_ = 0.0;
   double cumulative_loss_reduction_ = 0.0;
 
   StopPolicy active_policy_;

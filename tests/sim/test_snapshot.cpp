@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -24,6 +25,7 @@
 #include "sim/cluster.hpp"
 #include "sim/engine.hpp"
 #include "sim/health.hpp"
+#include "sim/journal.hpp"
 #include "sim/snapshot.hpp"
 #include "workload/model_zoo.hpp"
 #include "workload/trace.hpp"
@@ -204,6 +206,25 @@ TEST(SnapshotContainer, V5FilesRejectedAsUnsupportedVersion) {
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.section(), "header");
     EXPECT_NE(std::string(e.what()).find("unsupported snapshot version 5"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SnapshotContainer, V6FilesRejectedAsUnsupportedVersion) {
+  // v7 stores a job's progress as a count instead of its delta-loss
+  // history; a v6 "cluster" section would misparse, so the version check
+  // must reject the file first.
+  std::string bytes = write_sample();
+  bytes[8] = 6;
+  bytes = patch_checksum(std::move(bytes));
+  std::istringstream is(bytes, std::ios::binary);
+  try {
+    SnapshotReader reader(is, 0xfeedu);
+    FAIL() << "v6 snapshot accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.section(), "header");
+    EXPECT_EQ(e.offset(), 8u);
+    EXPECT_NE(std::string(e.what()).find("unsupported snapshot version 6"), std::string::npos)
         << e.what();
   }
 }
@@ -779,6 +800,139 @@ TEST(SnapshotEngine, RestoreAtTickWithPartialPlacementsAndPendingArrivals) {
   EXPECT_EQ(actual.event_stream_hash, expected.event_stream_hash);
   EXPECT_EQ(actual.jobs_injected, 2u);
   EXPECT_TRUE(deterministic_equal(expected, actual));
+}
+
+// ------------------------------------------- v7: state-sized snapshots
+
+std::string section_payload(const std::string& snapshot, std::uint64_t fingerprint,
+                            const std::string& name) {
+  std::istringstream is(snapshot, std::ios::binary);
+  SnapshotReader reader(is, fingerprint);
+  return reader.section(name).str();
+}
+
+// Re-frames `snapshot` with one section's payload replaced and a valid
+// checksum: a crafted file that passes every container check.
+std::string replace_section(const std::string& snapshot, std::uint64_t fingerprint,
+                            const std::string& name, const std::string& payload) {
+  std::istringstream is(snapshot, std::ios::binary);
+  SnapshotReader reader(is, fingerprint);
+  SnapshotWriter writer(fingerprint);
+  for (const char* section : {"engine", "events", "injected", "cluster", "links", "health",
+                              "predictor", "predict", "scheduler", "controller"}) {
+    if (!reader.has_section(section)) continue;
+    const std::string bytes = section == name ? payload : reader.section(section).str();
+    writer.section(section).bytes(bytes.data(), bytes.size());
+  }
+  std::ostringstream os(std::ios::binary);
+  writer.write(os);
+  return os.str();
+}
+
+TEST(SnapshotEngine, InjectedSpecWithNaNArrivalRejectedBeforeRegistering) {
+  exp::RunRequest request = engine_request();
+  exp::EngineBundle donor = exp::build_engine(request);
+  for (int i = 0; i < 60 && donor.engine->step(); ++i) {
+  }
+  const JobSpec base = PhillyTraceGenerator(request.trace).generate().front();
+  JobSpec first = base;
+  first.arrival = donor.engine->now() + 60.0;
+  donor.engine->inject_job(first);
+  donor.engine->inject_job(first);
+  const std::uint64_t fingerprint = donor.engine->config_fingerprint();
+  const std::string bytes = engine_snapshot_bytes(*donor.engine);
+
+  // The second streamed spec gets a NaN arrival; the first stays valid, so
+  // a restore that registered specs one by one would half-grow the engine.
+  std::vector<JobSpec> specs = donor.engine->injected_specs();
+  ASSERT_EQ(specs.size(), 2u);
+  specs[1].arrival = std::numeric_limits<double>::quiet_NaN();
+  std::ostringstream crafted(std::ios::binary);
+  {
+    io::BinWriter w(crafted);
+    w.u64(specs.size());
+    for (const JobSpec& spec : specs) write_job_spec(w, spec);
+  }
+  const std::string bad = replace_section(bytes, fingerprint, "injected", crafted.str());
+
+  exp::EngineBundle victim = exp::build_engine(request);
+  const std::size_t jobs_before = victim.engine->cluster().job_count();
+  const std::size_t tasks_before = victim.engine->cluster().task_count();
+  std::istringstream is(bad, std::ios::binary);
+  try {
+    victim.engine->restore_snapshot(is);
+    FAIL() << "NaN arrival accepted";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("job " + std::to_string(specs[1].id)), std::string::npos) << what;
+    EXPECT_NE(what.find("arrival"), std::string::npos) << what;
+  }
+  EXPECT_EQ(victim.engine->cluster().job_count(), jobs_before);
+  EXPECT_EQ(victim.engine->cluster().task_count(), tasks_before);
+  EXPECT_TRUE(victim.engine->injected_specs().empty());
+
+  // The untampered file still restores.
+  exp::EngineBundle twin = exp::build_engine(request);
+  std::istringstream good(bytes, std::ios::binary);
+  twin.engine->restore_snapshot(good);
+  EXPECT_EQ(twin.engine->cluster().job_count(), jobs_before + 2);
+}
+
+// Bytes of the cluster section that depend on where tasks are placed: the
+// servers' resident-task lists and the load index's id lists. The caller
+// refreshes the index first, so its dirty list is empty.
+std::size_t placement_dependent_bytes(const SimEngine& engine) {
+  const Cluster& cluster = engine.cluster();
+  std::size_t ids = 0;
+  for (ServerId s = 0; s < cluster.server_count(); ++s) {
+    const Server& server = cluster.server(s);
+    ids += server.tasks().size();
+    for (int g = 0; g < server.gpu_count(); ++g) ids += server.tasks_on_gpu(g).size();
+  }
+  ids += cluster.underloaded_index(engine.config().hr).size();
+  ids += cluster.overloaded_count(engine.config().hr);
+  return 8 * ids;
+}
+
+TEST(SnapshotEngine, ClusterSectionDoesNotGrowWithIterationsRun) {
+  // A job's progress is serialized as a count, so apart from the ids of
+  // placed tasks the cluster section has the same size at every point of
+  // a run (v6 added eight bytes per completed iteration).
+  exp::RunRequest request = engine_request();
+  request.label = "snapshot-size";
+  request.trace.num_jobs = 12;
+  std::uint64_t total_events = 0;
+  {
+    exp::EngineBundle probe = exp::build_engine(request);
+    while (probe.engine->step()) {
+    }
+    total_events = probe.engine->events_processed();
+  }
+  ASSERT_GT(total_events, 100u);
+
+  exp::EngineBundle bundle = exp::build_engine(request);
+  SimEngine& engine = *bundle.engine;
+  std::vector<std::size_t> fixed_sizes;
+  std::vector<long> iterations;
+  for (const double fraction : {0.25, 0.5, 0.9}) {
+    const auto stop = static_cast<std::uint64_t>(fraction * static_cast<double>(total_events));
+    while (engine.events_processed() < stop && engine.step()) {
+    }
+    // Refresh the lazy load index so its serialized id lists are exactly
+    // the ones placement_dependent_bytes counts.
+    const std::size_t variable = placement_dependent_bytes(engine);
+    const std::string bytes = engine_snapshot_bytes(engine);
+    const std::string cluster =
+        section_payload(bytes, engine.config_fingerprint(), "cluster");
+    fixed_sizes.push_back(cluster.size() - variable);
+    long done = 0;
+    for (const Job& job : engine.cluster().jobs()) done += job.completed_iterations();
+    iterations.push_back(done);
+  }
+  EXPECT_LT(iterations[0], iterations[1]);
+  EXPECT_LT(iterations[1], iterations[2]);
+  EXPECT_EQ(fixed_sizes[0], fixed_sizes[1]);
+  EXPECT_EQ(fixed_sizes[1], fixed_sizes[2]);
 }
 
 }  // namespace
