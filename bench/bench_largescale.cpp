@@ -4,22 +4,18 @@
 //
 // Replays a Philly-scale point — 550 servers / 2474 GPUs (the trace's
 // heterogeneous footprint) with a saturating arrival stream — end-to-end
-// under MLF-H twice:
-//
-//   A  prediction service   (the default configuration)
-//   B  legacy cold-fit path (stateless curve refits)
-//
-// Both legs stream their JSONL event logs through an FNV-1a hash, so the
-// benchmark *proves* the memoized, warm-started curve-fit chains changed
-// no decision. Before them, the default configuration runs once more on
-// its own, with no observer and nothing co-running, and its mean
-// wall-clock per scheduling round is gated by a ceiling. B's / A's
-// nm_objective_evals quotient is the measured curve-fit work reduction,
-// and A's fit_wall_ms / run_wall_ms is the wall-clock share the predictor
-// still costs — both are gated too. A second stage
-// runs every registered scheduler at a mid-size point with the same two
-// legs, so the byte-identical claim covers the whole registry rather than
-// MLF-H alone.
+// under MLF-H twice. The first run is alone, with no observer and nothing
+// co-running, and its mean wall-clock per scheduling round is gated by a
+// ceiling. The second writes its JSONL event log into a hashing sink while
+// the scheduler matrix runs beside it, and its curve-fit wall-clock share
+// (fit_wall_ms / run_wall_ms) is gated too. Both runs' event-stream hashes
+// and the Nelder-Mead objective-evaluation count must equal pins captured
+// from the code that still shipped a stateless from-scratch recompute of
+// every curve-fit chain, whose smoke-size event streams were byte-identical
+// to the recompute's; a moved decision or a changed fit path fails the
+// run. The matrix runs every registered scheduler at a mid-size point,
+// each pinned to its own event-stream hash, so the pinned-decision claim
+// covers the whole registry rather than MLF-H alone.
 //
 // A weak-scaling leg runs MLF-H on the same fleet at offered load 0.45 with
 // the arrival rate held constant, at 2.5k / 10k / 20k jobs (smoke: 2.5k /
@@ -29,16 +25,13 @@
 // smallest ratio at 1.3 (per-tick engine work must not grow with trace
 // length); smoke only reports it.
 //
-// All legs execute through the shared experiment runner on the pool
-// (hashes and counters are simulation-deterministic, so parallelism
-// cannot change them; only the real-clock measurements — the fit/run wall
-// times — carry contention noise, and the wall-share gate is a ratio of
-// two clocks inside the *same* run).
+// The logged run and the matrix execute through the shared experiment
+// runner on the pool (hashes are simulation-deterministic, so parallelism
+// cannot change them).
 //
 // Emits BENCH_largescale.json (with the predictor timing breakdown) and
-// exits non-zero if any leg pair diverges or any gate fails. CI runs
-// `--smoke` (same fleet, shorter stream, smaller matrix) and uploads the
-// file.
+// exits non-zero if any pin moves or any gate fails. CI runs `--smoke`
+// (same fleet, shorter stream, smaller matrix) and uploads the file.
 //
 // Usage: bench_largescale [--smoke] [--out FILE] [--threads N]
 #include <chrono>
@@ -46,7 +39,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
+#include <map>
 #include <ostream>
 #include <streambuf>
 #include <string>
@@ -63,8 +56,8 @@ namespace {
 
 using namespace mlfs;
 
-/// Sink that FNV-1a-hashes everything written to it — compares
-/// multi-million-line event streams without holding either in memory.
+/// Sink that FNV-1a-hashes everything written to it, so a multi-million-line
+/// event stream is consumed without being held in memory.
 class HashStreamBuf : public std::streambuf {
  public:
   std::uint64_t hash() const { return hash_; }
@@ -89,22 +82,20 @@ class HashStreamBuf : public std::streambuf {
   std::uint64_t bytes_ = 0;
 };
 
-/// Per-run hashing observer bundle with stable addresses for the batch.
-struct HashedRun {
-  HashStreamBuf sink;
-  std::unique_ptr<std::ostream> out;
-  std::unique_ptr<JsonlEventLog> log;
-
-  HashedRun() : out(std::make_unique<std::ostream>(&sink)),
-                log(std::make_unique<JsonlEventLog>(*out)) {}
+/// Decision fingerprints of one mode (smoke or full).
+struct Pins {
+  std::uint64_t philly_hash;
+  std::size_t philly_nm_evals;
+  /// Event-stream hash per registered scheduler at the matrix point.
+  std::map<std::string, std::uint64_t> matrix;
 };
 
 /// The Philly-scale leg: heterogeneous 550-server / 2474-GPU fleet, MLF-H,
 /// arrival rate held at the saturating ~375 jobs/hour the full trace
 /// averages, so host choice is measured under sustained overload.
-exp::RunRequest philly_request(std::size_t jobs, double hours, bool service) {
+exp::RunRequest philly_request(std::size_t jobs, double hours) {
   exp::RunRequest request;
-  request.label = std::string(service ? "service" : "legacy-fit") + " philly-550";
+  request.label = "philly-550";
   request.cluster.server_count = 550;
   request.cluster.total_gpus = 2474;
   request.cluster.gpus_per_server = 4;  // overridden by total_gpus
@@ -113,18 +104,17 @@ exp::RunRequest philly_request(std::size_t jobs, double hours, bool service) {
   request.trace.seed = 2020;
   request.trace.max_gpu_request = 32;
   request.engine.seed = 2020 ^ 0xbeef;
-  request.engine.predict.enabled = service;
   request.scheduler = "MLF-H";
   request.mlfs_config.heuristic_only = true;
   return request;
 }
 
-/// One mid-size matrix leg: every registered scheduler must stay
-/// byte-identical with the prediction service on.
+/// One mid-size matrix leg: every registered scheduler's decisions are
+/// pinned.
 exp::RunRequest matrix_request(const std::string& scheduler, std::size_t servers,
-                               std::size_t jobs, double hours, bool service) {
+                               std::size_t jobs, double hours) {
   exp::RunRequest request;
-  request.label = std::string(service ? "service" : "legacy-fit") + " " + scheduler;
+  request.label = scheduler;
   request.cluster.server_count = servers;
   request.cluster.gpus_per_server = 4;
   request.trace.num_jobs = jobs;
@@ -132,7 +122,6 @@ exp::RunRequest matrix_request(const std::string& scheduler, std::size_t servers
   request.trace.seed = 1117;
   request.trace.max_gpu_request = 16;
   request.engine.seed = 1117 ^ 0xfeed;
-  request.engine.predict.enabled = service;
   request.scheduler = scheduler;
   return request;
 }
@@ -196,21 +185,37 @@ double engine_ms_per_tick(const RunMetrics& m) {
   return (m.run_wall_ms - sched_ms - m.fit_wall_ms) / static_cast<double>(m.sched_rounds);
 }
 
-bool identical(const HashedRun& a, const HashedRun& b) {
-  return a.sink.hash() == b.sink.hash() && a.sink.bytes() == b.sink.bytes() &&
-         a.sink.bytes() > 0;
-}
-
-double nm_reduction(const RunMetrics& service, const RunMetrics& legacy) {
-  return service.nm_objective_evals > 0
-             ? static_cast<double>(legacy.nm_objective_evals) /
-                   static_cast<double>(service.nm_objective_evals)
-             : 0.0;
-}
-
 double fit_share(const RunMetrics& m) {
   return m.run_wall_ms > 0.0 ? m.fit_wall_ms / m.run_wall_ms : 0.0;
 }
+
+/// Pins per mode (see the file comment for where they come from).
+const Pins kSmokePins{0x33ad6988757520beull, 3469058,
+                      {{"MLF-H", 0xf0074931c90863cdull},
+                       {"MLF-RL", 0xf9edb045ea4ac694ull},
+                       {"MLFS", 0x40f28d643e4993fbull},
+                       {"TensorFlow", 0xd00e44d9f2badd83ull},
+                       {"Tiresias", 0x3ae2f6584bc52abbull},
+                       {"SLAQ", 0xc1d7b8a94c69ae96ull},
+                       {"Gandiva", 0x04e531f566e59677ull},
+                       {"Graphene", 0xa93573a08418d1cfull},
+                       {"HyperSched", 0x09f70221bca384d2ull},
+                       {"RL", 0x280a0b57789f64ffull},
+                       {"Optimus", 0x0ae8a41d33d23ffdull},
+                       {"Cassini", 0x0ec759433791eb47ull}}};
+const Pins kFullPins{0x6d07a49eeda5552full, 139746286,
+                     {{"MLF-H", 0xd584f1be3dacdd3cull},
+                      {"MLF-RL", 0xcabe7148f59f4091ull},
+                      {"MLFS", 0x96d24788e0e9bd27ull},
+                      {"TensorFlow", 0x70b1f59c9f08771eull},
+                      {"Tiresias", 0xa0fea6cf770d2681ull},
+                      {"SLAQ", 0x545d5b4970fa9030ull},
+                      {"Gandiva", 0x41163fd41818e6a7ull},
+                      {"Graphene", 0xfd42ed04d4223caeull},
+                      {"HyperSched", 0xe0ed522bdba0f797ull},
+                      {"RL", 0x7c276f4990e9d313ull},
+                      {"Optimus", 0xca38ef304b0d144eull},
+                      {"Cassini", 0x96f46f804ddc5f9bull}}};
 
 }  // namespace
 
@@ -233,16 +238,12 @@ int main(int argc, char** argv) {
   const std::size_t matrix_servers = smoke ? 32 : 64;
   const std::size_t matrix_jobs = smoke ? 300 : 800;
   const double matrix_hours = smoke ? 4.0 : 6.0;
-  // Mean wall-clock per scheduling round of the timing run. See CHANGES.md
+  const Pins& pins = smoke ? kSmokePins : kFullPins;
+  // Mean wall-clock per scheduling round of the Philly run. See CHANGES.md
   // for the readings behind it.
   const double ms_per_round_ceiling = 1.57;
-  // Curve-fit work: the legacy path recomputes the whole warm-start chain
-  // at every OptStop check (quadratic in chain length per job); the
-  // service computes each link once. The aggregate quotient is dominated
-  // by the long jobs, so >= 5x holds at both scales.
-  const double nm_gate = 5.0;
-  // Predictor wall-clock share of the default leg (was ~56% of the run
-  // before the service; the incremental chains must keep it under 20%).
+  // Predictor wall-clock share of the logged Philly run (was ~56% of the
+  // run before the service; the incremental chains must keep it under 20%).
   const double fit_share_gate = 0.20;
   // Weak scaling: engine ms per tick at the largest point over the
   // smallest. Gated in full mode only — smoke's two short points are too
@@ -257,33 +258,31 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const std::vector<std::string> schedulers = exp::registered_scheduler_names();
+  // The curve-fit share is read off a second Philly run that writes its
+  // JSONL event log into a hashing sink while the matrix runs beside it,
+  // the configuration the 20% gate was set on. Its run wall clock includes
+  // writing that log; the share of the quiet run is reported next to it.
+  HashStreamBuf event_sink;
+  std::ostream event_stream(&event_sink);
+  JsonlEventLog event_log(event_stream);
+  exp::RunRequest logged = philly_request(philly_jobs, philly_hours);
+  logged.label += " (event log)";
+  logged.observer = &event_log;
 
-  std::vector<exp::RunRequest> requests;
-  std::vector<std::unique_ptr<HashedRun>> hashers;
-  auto add = [&](exp::RunRequest request) {
-    hashers.push_back(std::make_unique<HashedRun>());
-    request.observer = hashers.back()->log.get();
-    requests.push_back(std::move(request));
-  };
-  // Philly legs A / B (see file comment).
-  add(philly_request(philly_jobs, philly_hours, /*service=*/true));
-  add(philly_request(philly_jobs, philly_hours, /*service=*/false));
-  // Matrix: per scheduler the same two legs at a mid-size point.
+  const std::vector<std::string> schedulers = exp::registered_scheduler_names();
+  std::vector<exp::RunRequest> requests = {logged};
   for (const std::string& name : schedulers) {
-    add(matrix_request(name, matrix_servers, matrix_jobs, matrix_hours, true));
-    add(matrix_request(name, matrix_servers, matrix_jobs, matrix_hours, false));
+    requests.push_back(matrix_request(name, matrix_servers, matrix_jobs, matrix_hours));
   }
 
   exp::RunOptions options;
   options.threads = threads;
-  std::cout << "bench_largescale: " << requests.size() << " runs ("
-            << exp::resolve_threads(threads) << " threads), philly point = 550 servers / "
-            << "2474 GPUs / " << philly_jobs << " jobs over " << philly_hours << "h\n";
+  std::cout << "bench_largescale: philly point = 550 servers / 2474 GPUs / " << philly_jobs
+            << " jobs over " << philly_hours << "h, then " << requests.size()
+            << " runs (" << exp::resolve_threads(threads) << " threads)\n";
   const auto t0 = std::chrono::steady_clock::now();
-  // Timing run: leg A's request without its observer, alone, so neither
-  // JSONL hashing nor co-running legs inflate the per-round wall clock.
-  const RunMetrics timed = exp::execute_run(philly_request(philly_jobs, philly_hours, true));
+  // The Philly run alone, so nothing co-running inflates its wall clocks.
+  const RunMetrics philly = exp::execute_run(philly_request(philly_jobs, philly_hours));
   // Weak-scaling points, also alone: each is a per-tick wall-clock reading.
   const std::vector<WeakPoint> weak_points = weak_scaling_points(weak_jobs);
   std::vector<RunMetrics> weak;
@@ -297,24 +296,21 @@ int main(int argc, char** argv) {
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
-  const RunMetrics& leg_a = results[0];  // service (default)
-  const RunMetrics& leg_b = results[1];  // legacy cold fits
-  const bool philly_service_identical = identical(*hashers[0], *hashers[1]);
-  const double ms_per_round = timed.sched_overhead_ms;
-  const bool timed_identical = timed.event_stream_hash == leg_a.event_stream_hash;
-  const double philly_nm_reduction = nm_reduction(leg_a, leg_b);
-  const double philly_fit_share = fit_share(leg_a);
+  const RunMetrics& philly_logged = results[0];
+  const bool philly_pinned = philly.event_stream_hash == pins.philly_hash &&
+                             philly.nm_objective_evals == pins.philly_nm_evals &&
+                             philly_logged.event_stream_hash == pins.philly_hash;
+  const double ms_per_round = philly.sched_overhead_ms;
+  const double philly_fit_share = fit_share(philly_logged);
 
   std::cout << "=== philly point ===\n";
-  std::cout << "  default    : " << leg_a.summary() << "\n";
-  std::cout << "  legacy-fit : " << leg_b.summary() << "\n";
-  std::cout << "  service_identical=" << (philly_service_identical ? "true" : "false")
+  std::cout << "  " << philly.summary() << "\n";
+  std::cout << "  decisions_pinned=" << (philly_pinned ? "true" : "false")
             << "\n  sched round: " << ms_per_round << "ms (ceiling " << ms_per_round_ceiling
-            << "ms), " << leg_a.candidates_scanned << " candidates scanned\n"
-            << "  curve fits: " << leg_a.nm_objective_evals << " NM evals vs "
-            << leg_b.nm_objective_evals << " legacy (" << philly_nm_reduction
-            << "x reduction, gate " << nm_gate << "x), fit wall share "
-            << philly_fit_share << " (gate " << fit_share_gate << ")\n";
+            << "ms), " << philly.candidates_scanned << " candidates scanned\n"
+            << "  curve fits: " << philly.nm_objective_evals << " NM evals (pinned "
+            << pins.philly_nm_evals << "), fit wall share " << philly_fit_share << " (gate "
+            << fit_share_gate << "; " << fit_share(philly) << " without the event log)\n";
 
   std::cout << "=== weak scaling (MLF-H, load " << kWeakLoad << ") ===\n";
   for (std::size_t i = 0; i < weak.size(); ++i) {
@@ -326,29 +322,25 @@ int main(int argc, char** argv) {
             << (smoke ? " (reported only)" : " (gate " + std::to_string(weak_ratio_gate) + ")")
             << "\n";
 
-  bool matrix_identical = true;
   json << "{\n  \"benchmark\": \"largescale\",\n  \"smoke\": " << (smoke ? "true" : "false")
        << ",\n  \"wall_seconds\": " << wall_seconds
        << ",\n  \"philly\": {\"servers\": 550, \"gpus\": 2474, \"jobs\": " << philly_jobs
        << ", \"arrival_hours\": " << philly_hours
-       << ",\n    \"service_decisions_identical\": "
-       << (philly_service_identical ? "true" : "false")
-       << ", \"event_stream_bytes\": " << hashers[0]->sink.bytes()
-       << ",\n    \"candidates_scanned\": " << leg_a.candidates_scanned
-       << ", \"rounds\": " << leg_a.sched_rounds
+       << ",\n    \"decisions_pinned\": " << (philly_pinned ? "true" : "false")
+       << ", \"events_processed\": " << philly.events_processed
+       << ", \"event_stream_bytes\": " << event_sink.bytes()
+       << ",\n    \"candidates_scanned\": " << philly.candidates_scanned
+       << ", \"rounds\": " << philly.sched_rounds
        << ", \"ms_per_round\": " << ms_per_round
        << ", \"ms_per_round_ceiling\": " << ms_per_round_ceiling
-       << ",\n    \"predictor\": {\"fits_cold\": " << leg_a.fits_cold
-       << ", \"fits_warm\": " << leg_a.fits_warm
-       << ", \"cache_hits\": " << leg_a.prediction_cache_hits
-       << ",\n      \"nm_evals_service\": " << leg_a.nm_objective_evals
-       << ", \"nm_evals_legacy\": " << leg_b.nm_objective_evals
-       << ", \"nm_eval_reduction_x\": " << philly_nm_reduction
-       << ", \"nm_eval_gate_x\": " << nm_gate
-       << ",\n      \"fit_wall_ms\": " << leg_a.fit_wall_ms
-       << ", \"fit_wall_ms_legacy\": " << leg_b.fit_wall_ms
-       << ", \"run_wall_ms\": " << leg_a.run_wall_ms
+       << ",\n    \"predictor\": {\"fits_cold\": " << philly.fits_cold
+       << ", \"fits_warm\": " << philly.fits_warm
+       << ", \"cache_hits\": " << philly.prediction_cache_hits
+       << ", \"nm_evals\": " << philly.nm_objective_evals
+       << ",\n      \"fit_wall_ms\": " << philly_logged.fit_wall_ms
+       << ", \"run_wall_ms\": " << philly_logged.run_wall_ms
        << ", \"fit_wall_share\": " << philly_fit_share
+       << ", \"fit_wall_share_without_log\": " << fit_share(philly)
        << ", \"fit_share_gate\": " << fit_share_gate
        << "}},\n  \"weak_scaling\": {\"scheduler\": \"MLF-H\", \"offered_load\": " << kWeakLoad
        << ", \"points\": [";
@@ -362,39 +354,33 @@ int main(int argc, char** argv) {
   json << "],\n    \"ratio_largest_over_smallest\": " << weak_ratio
        << ", \"ratio_gate\": " << (smoke ? std::string("null") : std::to_string(weak_ratio_gate))
        << "},\n  \"scheduler_matrix\": [\n";
+  bool matrix_pinned = true;
   for (std::size_t i = 0; i < schedulers.size(); ++i) {
-    const RunMetrics& on = results[2 + 2 * i];
-    const RunMetrics& legacy = results[3 + 2 * i];
-    const bool service_same = identical(*hashers[2 + 2 * i], *hashers[3 + 2 * i]);
-    matrix_identical = matrix_identical && service_same;
-    std::cout << "  " << schedulers[i]
-              << ": service_identical=" << (service_same ? "true" : "false")
-              << " nm_reduction=" << nm_reduction(on, legacy) << "x\n";
+    const auto pin = pins.matrix.find(schedulers[i]);
+    const RunMetrics& m = results[1 + i];
+    const bool pinned = pin != pins.matrix.end() && m.event_stream_hash == pin->second;
+    matrix_pinned = matrix_pinned && pinned;
+    std::cout << "  " << schedulers[i] << ": decisions_pinned=" << (pinned ? "true" : "false")
+              << "\n";
     json << "    {\"scheduler\": \"" << schedulers[i]
-         << "\", \"service_decisions_identical\": " << (service_same ? "true" : "false")
-         << ", \"nm_eval_reduction_x\": " << nm_reduction(on, legacy) << "}"
+         << "\", \"decisions_pinned\": " << (pinned ? "true" : "false")
+         << ", \"nm_evals\": " << m.nm_objective_evals << "}"
          << (i + 1 < schedulers.size() ? "," : "") << "\n";
   }
-  const bool all_identical = philly_service_identical && timed_identical && matrix_identical;
-  const bool pass = all_identical && ms_per_round <= ms_per_round_ceiling &&
-                    philly_nm_reduction >= nm_gate && philly_fit_share < fit_share_gate &&
-                    weak_pass;
-  json << "  ],\n  \"all_decisions_identical\": " << (all_identical ? "true" : "false")
+  const bool all_pinned = philly_pinned && matrix_pinned;
+  const bool pass = all_pinned && ms_per_round <= ms_per_round_ceiling &&
+                    philly_fit_share < fit_share_gate && weak_pass;
+  json << "  ],\n  \"all_decisions_pinned\": " << (all_pinned ? "true" : "false")
        << ",\n  \"pass\": " << (pass ? "true" : "false") << "\n}\n";
   std::cout << "wrote " << out_file << " (" << wall_seconds << "s)\n";
 
-  if (!all_identical) {
-    std::cerr << "FAIL: a leg's decisions diverged from its reference\n";
+  if (!all_pinned) {
+    std::cerr << "FAIL: an event-stream hash or the NM-eval count moved from its pin\n";
     return 1;
   }
   if (ms_per_round > ms_per_round_ceiling) {
     std::cerr << "FAIL: " << ms_per_round << "ms per scheduling round above the "
               << ms_per_round_ceiling << "ms ceiling\n";
-    return 1;
-  }
-  if (philly_nm_reduction < nm_gate) {
-    std::cerr << "FAIL: NM objective-eval reduction " << philly_nm_reduction
-              << "x below the " << nm_gate << "x gate\n";
     return 1;
   }
   if (philly_fit_share >= fit_share_gate) {

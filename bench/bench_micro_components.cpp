@@ -160,35 +160,30 @@ Job make_curve_job(int min_iters) {
 }
 
 /// The engine's OptStop pattern: one job advances iteration by iteration
-/// with a predict_at_max query at every check point. Arg selects the mode:
-/// 0 = legacy stateless cold fits (the full chain recomputed per check),
-/// 1 = the incremental service (one new warm link per check),
-/// 2 = service + an immediately repeated query per check (the MLF-C
-///     controller's pattern — the memo hit).
+/// with a predict_at_max query at every check point (one new warm link per
+/// check). Arg 1 repeats each query at once (the MLF-C controller's
+/// pattern — the memo hit).
 void BM_CurveFitChain(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
+  const bool repeat = state.range(0) != 0;
   constexpr int kCheckInterval = 5;
   for (auto _ : state) {
     state.PauseTiming();
     Job job = make_curve_job(100);
-    PredictConfig pc;
-    pc.enabled = mode != 0;
-    PredictionService service(pc, kCheckInterval);
+    PredictionService service({}, kCheckInterval);
     const int iters = std::min(100, job.spec().max_iterations);
     state.ResumeTiming();
     double acc = 0.0;
     for (int i = 0; i < iters; ++i) {
       job.complete_iteration();
-      service.on_iteration_complete(job);
       if (job.completed_iterations() % kCheckInterval != 0) continue;
       acc += service.predict_at_max(job).accuracy;
-      if (mode == 2) acc += service.predict_at_max(job).accuracy;
+      if (repeat) acc += service.predict_at_max(job).accuracy;
     }
     benchmark::DoNotOptimize(acc);
   }
-  state.SetLabel(mode == 0 ? "legacy-cold" : mode == 1 ? "service" : "service+memo");
+  state.SetLabel(repeat ? "service+memo" : "service");
 }
-BENCHMARK(BM_CurveFitChain)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CurveFitChain)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// End-to-end cost of a small scheduler batch through the shared experiment
 /// runner — the unit the figure harnesses parallelize. Honors --threads.

@@ -83,20 +83,6 @@ void prune_snapshots(const std::string& dir, int keep) {
   }
 }
 
-/// save_snapshot via tmp + rename: the final name only ever points at a
-/// complete, checksummed file.
-void write_snapshot_atomic(const SimEngine& engine, const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) throw ContractViolation("cannot open snapshot file " + tmp);
-    engine.save_snapshot(os);
-    os.flush();
-    if (!os) throw ContractViolation("snapshot flush failed for " + tmp);
-  }
-  fs::rename(tmp, path);
-}
-
 /// One step of the shared streaming drive loop. Returns false when the run
 /// is truly over: step() said so, and either no arrival remains or neither
 /// an event nor an injection happened this round — the queue holds only
@@ -112,6 +98,17 @@ bool streaming_step(SimEngine& engine, ScriptedArrivalSource& source) {
 }
 
 }  // namespace
+
+void write_snapshot_atomic(const SimEngine& engine, const fs::path& path, const fs::path& tmp) {
+  {
+    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+    if (!os) throw ContractViolation("cannot open snapshot file " + tmp.string());
+    engine.save_snapshot(os);
+    os.flush();
+    if (!os) throw ContractViolation("snapshot flush failed for " + tmp.string());
+  }
+  fs::rename(tmp, path);
+}
 
 bool ScriptedArrivalSource::pop_due(SimTime now, std::uint64_t event_index, bool queue_empty,
                                     StreamedArrival& out) {
@@ -248,7 +245,8 @@ DurableResult run_durable(const RunRequest& request,
     writer = std::make_unique<JournalWriter>(
         std::make_unique<FileJournalSink>(journal_path(config.dir, 0), /*truncate=*/true),
         fingerprint, /*base_event=*/0, /*first_seq=*/0, config.fsync, config.group_records);
-    write_snapshot_atomic(engine, snap_path(config.dir, 0));
+    const std::string path = snap_path(config.dir, 0);
+    write_snapshot_atomic(engine, path, path + ".tmp");
     ++result.snapshots_written;
   }
 
@@ -285,7 +283,8 @@ DurableResult run_durable(const RunRequest& request,
           fingerprint, event, writer->next_seq() + 1, config.fsync, config.group_records);
       writer->append_barrier(event);
       writer->sync();
-      write_snapshot_atomic(engine, snap_path(config.dir, event));
+      const std::string path = snap_path(config.dir, event);
+      write_snapshot_atomic(engine, path, path + ".tmp");
       writer = std::move(next_writer);
       last_snapshot = event;
       ++result.snapshots_written;

@@ -11,36 +11,6 @@
 namespace mlfs {
 
 void PredictConfig::validate() const {
-  if (warm_step_scale <= 0.0) {
-    throw ContractViolation("PredictConfig: warm_step_scale must be > 0");
-  }
-  if (warm_step_floor <= 0.0 || warm_step_floor > 0.25) {
-    throw ContractViolation("PredictConfig: warm_step_floor must be in (0, 0.25]");
-  }
-  if (restart_budget < 0) {
-    throw ContractViolation("PredictConfig: restart_budget must be >= 0");
-  }
-  if (regression_factor < 1.0) {
-    throw ContractViolation("PredictConfig: regression_factor must be >= 1");
-  }
-  if (regression_epsilon < 0.0) {
-    throw ContractViolation("PredictConfig: regression_epsilon must be >= 0");
-  }
-  if (settle_factor < 1.0) {
-    throw ContractViolation("PredictConfig: settle_factor must be >= 1");
-  }
-  if (settle_epsilon < 0.0) {
-    throw ContractViolation("PredictConfig: settle_epsilon must be >= 0");
-  }
-  if (freeze_weight_threshold < 0.0 || freeze_weight_threshold >= 1.0) {
-    throw ContractViolation("PredictConfig: freeze_weight_threshold must be in [0, 1)");
-  }
-  if (freeze_streak < 1) {
-    throw ContractViolation("PredictConfig: freeze_streak must be >= 1");
-  }
-  if (freeze_min_links < 1) {
-    throw ContractViolation("PredictConfig: freeze_min_links must be >= 1");
-  }
   if (coarsen_head < 3) {
     throw ContractViolation("PredictConfig: coarsen_head must be >= 3");
   }
@@ -68,14 +38,33 @@ int PredictionService::quantize(int done) const {
   return k >= first_link() ? k : 0;
 }
 
-void PredictionService::backfill(JobState& st, const Job& job, int done) const {
-  while (static_cast<int>(st.observed.size()) < done) {
-    const int next = static_cast<int>(st.observed.size()) + 1;
-    st.observed.push_back(job.curve().accuracy_at(next));
-  }
-}
-
 namespace {
+
+// Chain policy constants (see service.hpp's file comment).
+//
+// Warm-start step: the initial simplex step for link j seeded from the
+// previous link's params is clamp(kWarmStepScale × drift_{j-1},
+// kWarmStepFloor, 0.25); the first warm link (no drift yet) uses the cold
+// default step 0.25.
+constexpr double kWarmStepScale = 4.0;
+constexpr double kWarmStepFloor = 0.02;
+// Cold restart: a warm fit whose objective regresses past
+// kRegressionFactor × previous value (+ epsilon) also runs the cold fit and
+// takes the better result, spending one of PredictionService::kRestartBudget.
+constexpr double kRegressionFactor = 1.5;
+constexpr double kRegressionEpsilon = 1e-10;
+// Settled-fit carry-forward: a probe residual within kSettleFactor ×
+// previous value (+ epsilon) means the previous params still explain the
+// grown prefix. The epsilon floor lets numerically exact fits (residual
+// ~ 0) settle despite large relative wobble.
+constexpr double kSettleFactor = 1.5;
+constexpr double kSettleEpsilon = 1e-12;
+// Basis freezing: a non-best basis below kFreezeWeightThreshold of the
+// combination weight for kFreezeStreak consecutive links, from link
+// kFreezeMinLinks on, is never refit again.
+constexpr double kFreezeWeightThreshold = 0.005;
+constexpr int kFreezeStreak = 2;
+constexpr int kFreezeMinLinks = 3;
 
 /// Coarsened tail bin of 0-based observation index i (valid for
 /// i >= head): log-spaced, ~per_octave bins per doubling.
@@ -104,7 +93,7 @@ void build_coarse_index(std::size_t count, int head, int per_octave,
 /// fit plus a cold restart. `objective` is the basis' residual kernel over
 /// the link's observations.
 template <typename Objective>
-void fit_basis(const PredictConfig& config, PredictStats& stats, Objective&& objective,
+void fit_basis(PredictStats& stats, Objective&& objective,
                std::span<const double> init, const PredictionService::BasisFitRec* pb,
                PredictionService::BasisFitRec& out) {
   NelderMeadResult res;
@@ -112,7 +101,7 @@ void fit_basis(const PredictConfig& config, PredictStats& stats, Objective&& obj
     res = nelder_mead(objective, init);
     ++stats.fits_cold;
     out.restarts = 0;
-  } else if (pb->restarts >= config.restart_budget) {
+  } else if (pb->restarts >= PredictionService::kRestartBudget) {
     // Budget spent: this basis regresses chronically under warm starts;
     // one cold fit per link beats warm-then-cold double fits.
     res = nelder_mead(objective, init);
@@ -122,7 +111,7 @@ void fit_basis(const PredictConfig& config, PredictStats& stats, Objective&& obj
     // Settled-fit probe: if the previous params still explain the grown
     // prefix, carry them forward for one objective evaluation.
     const double probe = objective(std::span<const double>(pb->params));
-    if (probe <= config.settle_factor * pb->value + config.settle_epsilon) {
+    if (probe <= kSettleFactor * pb->value + kSettleEpsilon) {
       out.params = pb->params;
       out.value = probe;
       out.rmse = std::sqrt(std::max(probe, 0.0));
@@ -135,11 +124,11 @@ void fit_basis(const PredictConfig& config, PredictStats& stats, Objective&& obj
     opts.initial_step =
         pb->drift < 0.0
             ? 0.25
-            : std::clamp(config.warm_step_scale * pb->drift, config.warm_step_floor, 0.25);
+            : std::clamp(kWarmStepScale * pb->drift, kWarmStepFloor, 0.25);
     res = nelder_mead(objective, pb->params, opts);
     ++stats.fits_warm;
     out.restarts = pb->restarts;
-    if (res.value > config.regression_factor * pb->value + config.regression_epsilon) {
+    if (res.value > kRegressionFactor * pb->value + kRegressionEpsilon) {
       NelderMeadResult cold = nelder_mead(objective, init);
       ++stats.fits_cold;
       ++out.restarts;
@@ -163,11 +152,15 @@ void fit_basis(const PredictConfig& config, PredictStats& stats, Objective&& obj
   throw ContractViolation("predict state: " + detail);
 }
 
+/// Smallest encoded chain link: its done and its basis count, which
+/// restore_state checks before it reads any basis.
+constexpr std::uint64_t kMinLinkBytes = 8 + 8;
+
 }  // namespace
 
-void PredictionService::fit_link(JobState& st, int done) {
-  MLFS_EXPECT(static_cast<int>(st.observed.size()) >= done);
-  const std::span<const double> obs(st.observed.data(), static_cast<std::size_t>(done));
+void PredictionService::fit_link(JobState& st, std::span<const double> observed, int done) {
+  MLFS_EXPECT(static_cast<int>(observed.size()) >= done);
+  const std::span<const double> obs = observed.first(static_cast<std::size_t>(done));
   const bool coarse = config_.coarsen && done > config_.coarsen_head;
   std::vector<std::size_t> index;
   if (coarse) {
@@ -195,7 +188,7 @@ void PredictionService::fit_link(JobState& st, int done) {
         return coarse ? curve_detail::fit_residual<B>(p, obs, index, ilog_table_)
                       : curve_detail::fit_residual<B>(p, obs, ilog_table_);
       };
-      fit_basis(config_, stats_, objective, bs[bi].init, pb, out);
+      fit_basis(stats_, objective, bs[bi].init, pb, out);
     });
   }
 
@@ -218,12 +211,12 @@ void PredictionService::fit_link(JobState& st, int done) {
   for (std::size_t bi = 0; bi < rec.basis.size(); ++bi) {
     BasisFitRec& b = rec.basis[bi];
     if (b.frozen) continue;
-    if (bi != best && weights[bi] / weight_sum < config_.freeze_weight_threshold) {
+    if (bi != best && weights[bi] / weight_sum < kFreezeWeightThreshold) {
       ++b.low_streak;
     } else {
       b.low_streak = 0;
     }
-    if (link_index >= config_.freeze_min_links && b.low_streak >= config_.freeze_streak) {
+    if (link_index >= kFreezeMinLinks && b.low_streak >= kFreezeStreak) {
       b.frozen = true;
     }
   }
@@ -232,6 +225,7 @@ void PredictionService::fit_link(JobState& st, int done) {
 }
 
 const PredictionService::LinkRecord* PredictionService::advance_links(JobState& st,
+                                                                      const Job& job,
                                                                       int link_done) {
   if (!st.links.empty() && st.links.back().done >= link_done) {
     // Rollback re-entry (or an out-of-band query behind the chain tip):
@@ -243,8 +237,13 @@ const PredictionService::LinkRecord* PredictionService::advance_links(JobState& 
     ++stats_.cache_hits;
     return &*it;
   }
+  // New links must be fitted: read the observation prefix off the curve.
+  // It is released afterwards rather than kept as a member, which would
+  // hold the longest prefix ever fitted for the rest of the run.
+  std::vector<double> observed(static_cast<std::size_t>(link_done));
+  for (int i = 0; i < link_done; ++i) observed[i] = job.curve().accuracy_at(i + 1);
   int next = st.links.empty() ? first_link() : st.links.back().done + check_interval_;
-  for (; next <= link_done; next += check_interval_) fit_link(st, next);
+  for (; next <= link_done; next += check_interval_) fit_link(st, observed, next);
   return &st.links.back();
 }
 
@@ -268,44 +267,21 @@ CurvePrediction PredictionService::predict_at_max(const Job& job) {
     return {done <= 0 ? 0.0 : job.curve().accuracy_at(done), 0.0};
   }
 
-  if (config_.enabled) {
-    JobState& st = states_[job.id()];
-    if (st.memo_valid && st.memo_done == link && st.memo_target == target) {
-      ++stats_.cache_hits;
-      return st.memo;
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    backfill(st, job, done);
-    const LinkRecord* rec = advance_links(st, link);
-    const CurvePrediction out = prediction_from(*rec, target);
-    st.memo_valid = true;
-    st.memo_done = link;
-    st.memo_target = target;
-    st.memo = out;
-    stats_.fit_wall_ms +=
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return out;
+  JobState& st = states_[job.id()];
+  if (st.memo_valid && st.memo_done == link && st.memo_target == target) {
+    ++stats_.cache_hits;
+    return st.memo;
   }
-
-  // Legacy cold-fit path: rebuild the observation vector (the historical
-  // O(done) copy) and recompute the whole chain from scratch — identical
-  // arithmetic, nothing cached.
   const auto t0 = std::chrono::steady_clock::now();
-  JobState scratch;
-  backfill(scratch, job, done);
-  const LinkRecord* rec = advance_links(scratch, link);
+  const LinkRecord* rec = advance_links(st, job, link);
   const CurvePrediction out = prediction_from(*rec, target);
+  st.memo_valid = true;
+  st.memo_done = link;
+  st.memo_target = target;
+  st.memo = out;
   stats_.fit_wall_ms +=
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-          .count();
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
   return out;
-}
-
-void PredictionService::on_iteration_complete(const Job& job) {
-  if (!config_.enabled) return;
-  if (job.active_policy() != StopPolicy::OptStop) return;
-  backfill(states_[job.id()], job, job.completed_iterations());
 }
 
 void PredictionService::on_job_complete(const Job& job) {
@@ -324,7 +300,6 @@ void PredictionService::save_state(io::BinWriter& w) const {
   w.u64(states_.size());
   for (const auto& [id, st] : states_) {  // std::map: sorted, canonical bytes
     w.u64(id);
-    w.vec_f64(st.observed);
     w.u64(st.links.size());
     for (const LinkRecord& rec : st.links) {
       w.i64(rec.done);
@@ -359,26 +334,24 @@ void PredictionService::restore_state(io::BinReader& r) {
   for (std::uint64_t j = 0; j < jobs; ++j) {
     const JobId id = static_cast<JobId>(r.u64());
     JobState st;
-    st.observed = r.vec_f64();
-    // The chain is the consecutive check points first_link(),
-    // first_link() + check_interval, ... up to at most the observed
-    // prefix, so its length is bounded by the observations already read.
+    // Every link takes at least kMinLinkBytes of the section, so a count
+    // the remaining bytes cannot hold is rejected before anything is
+    // reserved for it.
     const std::uint64_t links = r.u64();
-    if (links > st.observed.size() / static_cast<std::size_t>(check_interval_)) {
+    const std::uint64_t remaining = r.remaining();
+    if (links > remaining / kMinLinkBytes) {
       reject_state("job " + std::to_string(id) + " claims " + std::to_string(links) +
-                   " chain links over " + std::to_string(st.observed.size()) +
-                   " observations");
+                   " chain links but only " + std::to_string(remaining) + " bytes remain");
     }
     st.links.reserve(static_cast<std::size_t>(links));
     std::int64_t expected_done = first_link();
     for (std::uint64_t l = 0; l < links; ++l) {
       LinkRecord rec;
       const std::int64_t done = r.i64();
-      if (done != expected_done || done > static_cast<std::int64_t>(st.observed.size())) {
+      if (done != expected_done) {
         reject_state("job " + std::to_string(id) + " link " + std::to_string(l) + " at done=" +
                      std::to_string(done) + ", expected check point " +
-                     std::to_string(expected_done) + " within " +
-                     std::to_string(st.observed.size()) + " observations");
+                     std::to_string(expected_done));
       }
       rec.done = static_cast<int>(done);
       expected_done += check_interval_;

@@ -13,46 +13,39 @@
 //  * link 1: cold Nelder-Mead from each basis' init simplex;
 //  * link j > 1, per basis: first a settled-fit probe — the previous
 //    link's params are re-evaluated on the new prefix (one objective
-//    evaluation); if the residual has not degraded past settle_factor ×
-//    previous value (+ settle_epsilon) the params carry forward without
+//    evaluation); if the residual has not degraded past a settle factor ×
+//    previous value (+ epsilon) the params carry forward without
 //    refitting. Otherwise a warm Nelder-Mead seeded from the previous
 //    link's fitted params with initial_step derived from the previous
-//    parameter drift; if the warm objective regresses past
-//    regression_factor × previous value the cold fit is also computed and
-//    wins if better (a "restart", bounded by restart_budget — once the
-//    budget is spent the basis is refit cold directly, with no settle
-//    probe);
+//    parameter drift; if the warm objective regresses past a regression
+//    factor × previous value the cold fit is also computed and wins if
+//    better (a "restart", bounded by kRestartBudget — once the budget is
+//    spent the basis is refit cold directly, with no settle probe);
 //  * basis freezing: a non-best basis whose combination weight stays below
-//    freeze_weight_threshold for freeze_streak consecutive links (after
-//    freeze_min_links) stops being refit; its last (params, rmse) keep
+//    a freeze threshold for a streak of consecutive links (after a minimum
+//    chain length) stops being refit; its last (params, rmse) keep
 //    participating in the weighted prediction.
 //
-// The chain is a pure function of the observation prefix and the config, so
-// it is computed identically by two modes:
-//
-//  * enabled (the service): per-job incremental state — one new link per
-//    check, memoized predictions for repeated (job, done, target) queries,
-//    stored links reused verbatim on rollback re-entry;
-//  * disabled ("legacy cold-fit path"): stateless — the observation vector
-//    is rebuilt (O(done)) and every chain link recomputed from scratch at
-//    every check.
-//
-// Both therefore produce byte-identical predictions, decisions, and event
-// streams; the service differs only in cost (bench_largescale gates the
-// Nelder-Mead evaluation reduction and wall-clock share). Observation
-// coarsening (opt-in) is the one *approximating* mode: it subsamples the
-// tail of long observation prefixes logarithmically and changes results,
-// so it participates in the engine config fingerprint and is fuzzed under
-// equivalence-of-invariants, not hash equality.
-//
-// Observation buffers never shrink: entry i is the ground-truth
-// LossCurve::accuracy_at(i + 1), a pure function of the index, so a fault
-// rollback simply re-reads the prefix. Per-job state is evicted when the
-// job reaches a terminal state.
+// The policy's other constants live in service.cpp. The chain is a pure
+// function of the observation prefix and the config, and the observations
+// are a pure function of the job's loss curve (entry i is
+// LossCurve::accuracy_at(i + 1)), so the service keeps no observation
+// buffer: when a query needs new links, the prefix is read off the curve
+// into a scratch vector that lives only while those links are fitted. Per
+// job it keeps the computed links (one new link per check, stored links
+// reused verbatim on fault-rollback re-entry) and a memo of the last
+// (link, target) query. A fresh service asked about the same (job, done)
+// therefore returns bit-identical answers; the tests use exactly that as
+// the from-scratch oracle. Observation coarsening (opt-in) is the one
+// *approximating* mode: it subsamples the tail of long observation
+// prefixes logarithmically and changes results, so it participates in the
+// engine config fingerprint. Per-job state is evicted when the job reaches
+// a terminal state.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "common/binio.hpp"
@@ -63,41 +56,6 @@
 namespace mlfs {
 
 struct PredictConfig {
-  /// Incremental service on (default). Off = the legacy stateless
-  /// cold-fit path: identical results, no caching, full chain recompute
-  /// per check.
-  bool enabled = true;
-
-  // Warm-start policy: initial simplex step for link j seeded from the
-  // previous link's params is clamp(warm_step_scale × drift_{j-1},
-  // warm_step_floor, 0.25); the first warm link (no drift yet) uses the
-  // cold default step 0.25.
-  double warm_step_scale = 4.0;
-  double warm_step_floor = 0.02;
-
-  /// Cold-restart budget per (job, basis): a warm fit whose objective
-  /// regresses past regression_factor × previous value (+ epsilon) also
-  /// runs the cold fit and takes the better result, consuming one restart;
-  /// with the budget spent the basis is simply refit cold each link.
-  int restart_budget = 4;
-  double regression_factor = 1.5;
-  double regression_epsilon = 1e-10;
-
-  /// Settled-fit carry-forward: before warm-fitting link j the previous
-  /// link's params are re-evaluated on the new prefix; a residual within
-  /// settle_factor × previous value (+ settle_epsilon) means the fit still
-  /// explains the data and carries forward for one objective evaluation
-  /// instead of a full Nelder-Mead run. The epsilon floor lets
-  /// numerically-exact fits (residual ~ 0) settle despite large relative
-  /// wobble.
-  double settle_factor = 1.5;
-  double settle_epsilon = 1e-12;
-
-  // Basis freezing (see file comment).
-  double freeze_weight_threshold = 0.005;
-  int freeze_streak = 2;
-  int freeze_min_links = 3;
-
   /// Opt-in observation coarsening for very long jobs: the first
   /// coarsen_head observations are kept exactly; the tail keeps
   /// ~coarsen_per_octave log-spaced points per octave plus always the
@@ -131,11 +89,6 @@ class PredictionService {
   /// above. Below the first canonical link this falls back to the last
   /// observation with zero confidence (mirroring predict_at).
   CurvePrediction predict_at_max(const Job& job);
-
-  /// Appends newly available observations for an OptStop job (no-op when
-  /// the service is disabled or the job's active policy is not OptStop —
-  /// a later policy downgrade backfills lazily at query time).
-  void on_iteration_complete(const Job& job);
 
   /// Terminal-state hooks: completion feeds the runtime predictor's
   /// signature history and evicts the curve-fit state; failure evicts
@@ -175,6 +128,10 @@ class PredictionService {
 
   // ---- introspection (audit / snapshot / tests) ----
 
+  /// Cold restarts one (job, basis) chain may spend before it is refit
+  /// cold at every link (see file comment).
+  static constexpr int kRestartBudget = 4;
+
   /// One basis' state at one chain link.
   struct BasisFitRec {
     std::vector<double> params;
@@ -190,9 +147,6 @@ class PredictionService {
     std::vector<BasisFitRec> basis;
   };
   struct JobState {
-    /// observed[i] = ground-truth accuracy after iteration i + 1. Grows
-    /// monotonically; never truncated on rollback.
-    std::vector<double> observed;
     /// All computed chain links, ascending by done (rollback re-entry is
     /// a lookup, and the chain resumes from the last element).
     std::vector<LinkRecord> links;
@@ -202,29 +156,26 @@ class PredictionService {
     int memo_target = 0;
     CurvePrediction memo;
   };
-  /// Live per-job curve-fit state (empty while disabled — the audit's
-  /// zero-when-disabled contract).
+  /// Live per-job curve-fit state.
   const std::map<JobId, JobState>& cached_states() const { return states_; }
 
   /// Snapshot hooks: curve-fit caches + counters. The runtime predictor
   /// serializes separately (SimEngine's stable "predictor" section).
   /// restore_state rejects a malformed chain with a ContractViolation
-  /// before sizing anything from it: a link count beyond the observed
-  /// prefix, link check points that are not the consecutive canonical
+  /// before sizing anything from it: a link count the remaining bytes
+  /// cannot hold, link check points that are not the consecutive canonical
   /// ones, a basis count other than bases().size(), or a params vector
   /// whose length is not its basis' dimension.
   void save_state(io::BinWriter& w) const;
   void restore_state(io::BinReader& r);
 
  private:
-  /// Ensures `st` holds ground-truth observations through iteration
-  /// `done` (incremental append; pure function of the index).
-  void backfill(JobState& st, const Job& job, int done) const;
   /// Ensures the chain is computed through canonical link `link_done` and
   /// returns its record. Counts a cache hit when the link already exists.
-  const LinkRecord* advance_links(JobState& st, int link_done);
-  /// Computes one new chain link at `done` from the chain tail.
-  void fit_link(JobState& st, int done);
+  const LinkRecord* advance_links(JobState& st, const Job& job, int link_done);
+  /// Computes one new chain link at `done` from the chain tail, fitting
+  /// the first `done` entries of `observed`.
+  void fit_link(JobState& st, std::span<const double> observed, int done);
   CurvePrediction prediction_from(const LinkRecord& rec, int target) const;
 
   PredictConfig config_;

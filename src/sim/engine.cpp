@@ -997,7 +997,6 @@ void SimEngine::handle_iteration_done(JobId id, std::uint64_t epoch) {
   MLFS_EXPECT(job.state() == JobState::Running);
   job.complete_iteration();
   ++iterations_run_;
-  prediction_.on_iteration_complete(job);
   if (observer_ != nullptr) {
     observer_->on_iteration_complete(now_, id, job.completed_iterations());
   }

@@ -101,8 +101,7 @@ struct EngineConfig {
 
   /// Prediction subsystem (predict/service.hpp): incremental, memoized,
   /// warm-started curve fitting behind the OptStop checks and the
-  /// scheduler-facing prediction substrate. enabled = false selects the
-  /// legacy stateless cold-fit path (byte-identical results, no caching).
+  /// scheduler-facing prediction substrate.
   PredictConfig predict;
 
   /// Watchdog: if nothing runs for this many consecutive ticks while tasks

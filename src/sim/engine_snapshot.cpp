@@ -114,21 +114,8 @@ std::uint64_t SimEngine::compute_config_fingerprint() const {
   w.i64(rc.max_checkpoint_interval);
   w.boolean(rc.spread_placement);
 
-  // Prediction service: every field shapes the fit chains (enabled /
-  // legacy produce identical results but different cached state and
-  // counters; coarsening changes results outright).
+  // Prediction service: coarsening changes the fitted chains.
   const PredictConfig& pc = config_.predict;
-  w.boolean(pc.enabled);
-  w.f64(pc.warm_step_scale);
-  w.f64(pc.warm_step_floor);
-  w.i64(pc.restart_budget);
-  w.f64(pc.regression_factor);
-  w.f64(pc.regression_epsilon);
-  w.f64(pc.settle_factor);
-  w.f64(pc.settle_epsilon);
-  w.f64(pc.freeze_weight_threshold);
-  w.i64(pc.freeze_streak);
-  w.i64(pc.freeze_min_links);
   w.boolean(pc.coarsen);
   w.i64(pc.coarsen_head);
   w.i64(pc.coarsen_per_octave);

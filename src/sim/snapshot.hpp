@@ -46,9 +46,12 @@ inline constexpr char kSnapshotMagic[8] = {'M', 'L', 'F', 'S', 'S', 'N', 'A', 'P
 /// ascending order. v7: a job's progress in the "cluster" section is its
 /// completed-iteration count instead of one delta-loss per completed
 /// iteration (the history is a pure function of the iteration index), so
-/// the section no longer grows with iterations run. Files of any other
-/// version are rejected by the version check.
-inline constexpr std::uint32_t kSnapshotVersion = 7;
+/// the section no longer grows with iterations run. v8: the "predict"
+/// section drops each job's observation buffer (observations are a pure
+/// function of the job's loss curve) and the config fingerprint drops the
+/// prediction service's enable flag and fit-policy constants. Files of any
+/// other version are rejected by the version check.
+inline constexpr std::uint32_t kSnapshotVersion = 8;
 
 /// Structured rejection of a snapshot file. Subclasses ContractViolation so
 /// existing catch sites handle it; carries the failing section (or the

@@ -80,7 +80,6 @@ TEST(FitRecovery, WarmStartedChainRecoversLikeColdFits) {
   CurvePrediction chain_tip{0.0, 0.0};
   for (int i = 0; i < 40; ++i) {
     job.complete_iteration();
-    service.on_iteration_complete(job);
     if (job.completed_iterations() % 4 == 0) chain_tip = service.predict_at_max(job);
   }
   // 10 warm links deep by now — the chain must have warm-started fits.

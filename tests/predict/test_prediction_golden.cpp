@@ -1,8 +1,7 @@
 // Golden pin of the prediction service's evaluation sequence.
 //
-// A small OptStop-heavy run is executed under MLF-H (service on, service
-// on with observation coarsening, and the legacy cold-fit path) and under
-// the full MLFS. The Nelder-Mead fit counters — cold fits, warm fits,
+// A small OptStop-heavy run is executed under MLF-H (exact and with
+// observation coarsening) and under the full MLFS. The Nelder-Mead fit counters — cold fits, warm fits,
 // cache hits, objective evaluations — and the event-stream hash are pinned
 // to the values captured before the curve-fit kernel was rewritten as
 // typed, allocation-free basis residuals. Equal decisions alone would not
@@ -22,7 +21,7 @@
 namespace mlfs {
 namespace {
 
-enum class FitMode { Service, Coarsened, Legacy };
+enum class FitMode { Service, Coarsened };
 
 exp::RunRequest optstop_request(const std::string& scheduler, FitMode mode) {
   exp::RunRequest r;
@@ -32,7 +31,6 @@ exp::RunRequest optstop_request(const std::string& scheduler, FitMode mode) {
   r.cluster.servers_per_rack = 2;
   r.engine.seed = 41;
   r.engine.max_sim_time = hours(72.0);
-  r.engine.predict.enabled = mode != FitMode::Legacy;
   r.engine.predict.coarsen = mode == FitMode::Coarsened;
   r.engine.predict.coarsen_head = 4;
   r.engine.predict.coarsen_per_octave = 1;
@@ -72,11 +70,6 @@ TEST(PredictionGolden, MlfHServiceCounters) {
 TEST(PredictionGolden, MlfHCoarsenedCounters) {
   expect_golden(optstop_request("MLF-H", FitMode::Coarsened),
                 {162, 89, 0, 110545, 0xa82ac01b9e268b80ull});
-}
-
-TEST(PredictionGolden, MlfHLegacyPathCounters) {
-  expect_golden(optstop_request("MLF-H", FitMode::Legacy),
-                {4173, 2702, 0, 2914509, 0xa82ac01b9e268b80ull});
 }
 
 TEST(PredictionGolden, MlfsServiceCounters) {

@@ -91,7 +91,8 @@ TEST(FuzzSerde, RejectsUnknownKeysAndMalformedLines) {
   // carries one is rejected instead of silently running another scenario.
   for (const char* retired : {"incremental_load_index=1", "legacy_hot_path=0",
                               "placement_bucket_index=1", "placement_index_buckets=512",
-                              "index_equivalence_check=0"}) {
+                              "index_equivalence_check=0", "predict_enabled=1",
+                              "service_equivalence_check=0"}) {
     std::istringstream in(std::string(retired) + "\n");
     EXPECT_THROW(parse_fuzz_case(in), ContractViolation) << retired;
   }

@@ -229,6 +229,25 @@ TEST(SnapshotContainer, V6FilesRejectedAsUnsupportedVersion) {
   }
 }
 
+TEST(SnapshotContainer, V7FilesRejectedAsUnsupportedVersion) {
+  // v8 drops the per-job observation buffers from the "predict" section; a
+  // v7 section would misparse, so the version check must reject the file
+  // first.
+  std::string bytes = write_sample();
+  bytes[8] = 7;
+  bytes = patch_checksum(std::move(bytes));
+  std::istringstream is(bytes, std::ios::binary);
+  try {
+    SnapshotReader reader(is, 0xfeedu);
+    FAIL() << "v7 snapshot accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.section(), "header");
+    EXPECT_EQ(e.offset(), 8u);
+    EXPECT_NE(std::string(e.what()).find("unsupported snapshot version 7"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SnapshotContainer, FingerprintMismatchRejected) {
   const std::string bytes = write_sample(0xfeedu);
   std::istringstream is(bytes, std::ios::binary);

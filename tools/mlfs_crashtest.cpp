@@ -293,33 +293,22 @@ bool run_journal_trial(const Options& options, const std::string& self_exe,
   return ok;
 }
 
-/// Atomic snapshot write: crash mid-write leaves a *.tmp the restore scan
-/// ignores, never a truncated snap-*.bin.
-void write_snapshot_atomic(const SimEngine& engine, const std::filesystem::path& dir,
-                           std::uint64_t events) {
-  const std::filesystem::path tmp = dir / ("snap-" + std::to_string(events) + ".tmp");
-  const std::filesystem::path final_path = dir / ("snap-" + std::to_string(events) + ".bin");
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw ContractViolation("cannot write snapshot " + tmp.string());
-    engine.save_snapshot(out);
-    out.flush();
-    if (!out) throw ContractViolation("short write on snapshot " + tmp.string());
-  }
-  std::filesystem::rename(tmp, final_path);
-}
-
 /// Child body for --sigkill: run the scenario, snapshot on the stride, then
 /// die by a real SIGKILL at the kill event — no unwinding, no flush.
 int run_child(const Options& options) {
   exp::EngineBundle bundle = exp::build_engine(crash_request(options));
   SimEngine& engine = *bundle.engine;
   std::filesystem::create_directories(options.dir);
-  write_snapshot_atomic(engine, options.dir, 0);  // guarantees a restore point
+  // A crash mid-write leaves a *.tmp the restore scan ignores, never a
+  // truncated snap-*.bin.
+  const auto checkpoint = [&](std::uint64_t events) {
+    const std::filesystem::path dir = options.dir;
+    const std::string stem = "snap-" + std::to_string(events);
+    exp::write_snapshot_atomic(engine, dir / (stem + ".bin"), dir / (stem + ".tmp"));
+  };
+  checkpoint(0);  // guarantees a restore point
   while (engine.step()) {
-    if (engine.events_processed() % options.stride == 0) {
-      write_snapshot_atomic(engine, options.dir, engine.events_processed());
-    }
+    if (engine.events_processed() % options.stride == 0) checkpoint(engine.events_processed());
     // No snapshot at the kill point itself: the restore must come from the
     // last *stride* snapshot and replay the gap, like a real crash.
     if (engine.events_processed() >= options.kill_at) raise(SIGKILL);

@@ -16,7 +16,7 @@
 //            [--mtbf H] [--mttr H] [--kill-prob P] [--flaky F]
 //            [--checkpoint-interval N] [--recovery] [--retry-budget N]
 //            [--adaptive-checkpoint] [--spread-placement]
-//            [--legacy-curve-fit] [--coarsen-curve]
+//            [--coarsen-curve]
 //            [--contention] [--duty-cycle] [--nic-mbps B] [--uplink-mbps B]
 //            [--snapshot-every N] [--snapshot-dir D] [--restore FILE]
 //            [--snapshot-keep K] [--journal DIR] [--fsync every|group|off]
@@ -71,7 +71,6 @@ struct Options {
   bool spread_placement = false;
 
   // Prediction service (predict/service.hpp).
-  bool legacy_curve_fit = false;
   bool coarsen_curve = false;
 
   // Link contention (sim/link_model.hpp).
@@ -135,9 +134,6 @@ void print_usage() {
       "                       the observed MTBF (needs --recovery)\n"
       "  --spread-placement   rack-spread penalty in host choice so one rack\n"
       "                       outage cannot erase a whole job (needs --recovery)\n"
-      "  --legacy-curve-fit   stateless cold learning-curve fits at every\n"
-      "                       OptStop check instead of the incremental\n"
-      "                       memoized prediction service (identical results)\n"
       "  --coarsen-curve      log-subsample long observation tails before\n"
       "                       curve fitting (approximation; changes results)\n"
       "  --contention         enable link-level bandwidth contention: per-\n"
@@ -270,8 +266,6 @@ bool parse(int argc, char** argv, Options& options) {
       options.adaptive_checkpoint = true;
     } else if (arg == "--spread-placement") {
       options.spread_placement = true;
-    } else if (arg == "--legacy-curve-fit") {
-      options.legacy_curve_fit = true;
     } else if (arg == "--coarsen-curve") {
       options.coarsen_curve = true;
     } else if (arg == "--contention") {
@@ -382,23 +376,6 @@ bool parse(int argc, char** argv, Options& options) {
   return true;
 }
 
-/// Writes a snapshot atomically: a crash mid-write leaves only a *.tmp the
-/// restore path never considers, never a truncated snap-*.bin.
-void write_snapshot_atomic(const SimEngine& engine, const std::filesystem::path& dir,
-                           std::uint64_t events) {
-  std::filesystem::create_directories(dir);
-  const std::filesystem::path tmp = dir / ("snap-" + std::to_string(events) + ".tmp");
-  const std::filesystem::path final_path = dir / ("snap-" + std::to_string(events) + ".bin");
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw ContractViolation("cannot write snapshot " + tmp.string());
-    engine.save_snapshot(out);
-    out.flush();
-    if (!out) throw ContractViolation("short write on snapshot " + tmp.string());
-  }
-  std::filesystem::rename(tmp, final_path);
-}
-
 /// Prunes the legacy --snapshot-every directory to the newest `keep`
 /// snap-*.bin files (the --journal path prunes snapshot+journal *pairs*
 /// itself, inside exp::run_durable).
@@ -472,7 +449,6 @@ int main(int argc, char** argv) {
     engine_config.recovery.retry_budget = options.retry_budget;
     engine_config.recovery.adaptive_checkpoint = options.adaptive_checkpoint;
     engine_config.recovery.spread_placement = options.spread_placement;
-    engine_config.predict.enabled = !options.legacy_curve_fit;
     engine_config.predict.coarsen = options.coarsen_curve;
 
     TraceConfig trace;
@@ -575,10 +551,15 @@ int main(int argc, char** argv) {
         engine.restore_snapshot(in);
         std::cerr << "restored at event " << engine.events_processed() << "\n";
       }
+      const std::filesystem::path dir = options.snapshot_dir;
+      if (options.snapshot_every > 0) std::filesystem::create_directories(dir);
       while (engine.step()) {
         if (options.snapshot_every > 0 &&
             engine.events_processed() % options.snapshot_every == 0) {
-          write_snapshot_atomic(engine, options.snapshot_dir, engine.events_processed());
+          // A crash mid-write leaves only a *.tmp the restore path never
+          // considers, never a truncated snap-*.bin.
+          const std::string stem = "snap-" + std::to_string(engine.events_processed());
+          exp::write_snapshot_atomic(engine, dir / (stem + ".bin"), dir / (stem + ".tmp"));
           if (options.snapshot_keep > 0) {
             prune_snapshot_dir(options.snapshot_dir, options.snapshot_keep);
           }
