@@ -97,18 +97,24 @@ bool streaming_step(SimEngine& engine, ScriptedArrivalSource& source) {
          engine.injected_specs().size() != before_injected;
 }
 
-}  // namespace
-
-void write_snapshot_atomic(const SimEngine& engine, const fs::path& path, const fs::path& tmp) {
+/// Writes engine.save_snapshot() to `<path>.tmp`, checks the flush, then
+/// renames it to `path`: `path` only ever names a complete, checksummed
+/// file, and a crash mid-write leaves only the `.tmp` behind, which
+/// remove_stray_files() deletes. Nothing is fsynced, so this holds across
+/// a process crash, not a power loss (DESIGN.md §6d).
+void write_snapshot_atomic(const SimEngine& engine, const std::string& path) {
+  const std::string tmp = path + ".tmp";
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) throw ContractViolation("cannot open snapshot file " + tmp.string());
+    if (!os) throw ContractViolation("cannot open snapshot file " + tmp);
     engine.save_snapshot(os);
     os.flush();
-    if (!os) throw ContractViolation("snapshot flush failed for " + tmp.string());
+    if (!os) throw ContractViolation("snapshot flush failed for " + tmp);
   }
   fs::rename(tmp, path);
 }
+
+}  // namespace
 
 bool ScriptedArrivalSource::pop_due(SimTime now, std::uint64_t event_index, bool queue_empty,
                                     StreamedArrival& out) {
@@ -245,8 +251,7 @@ DurableResult run_durable(const RunRequest& request,
     writer = std::make_unique<JournalWriter>(
         std::make_unique<FileJournalSink>(journal_path(config.dir, 0), /*truncate=*/true),
         fingerprint, /*base_event=*/0, /*first_seq=*/0, config.fsync, config.group_records);
-    const std::string path = snap_path(config.dir, 0);
-    write_snapshot_atomic(engine, path, path + ".tmp");
+    write_snapshot_atomic(engine, snap_path(config.dir, 0));
     ++result.snapshots_written;
   }
 
@@ -283,8 +288,7 @@ DurableResult run_durable(const RunRequest& request,
           fingerprint, event, writer->next_seq() + 1, config.fsync, config.group_records);
       writer->append_barrier(event);
       writer->sync();
-      const std::string path = snap_path(config.dir, event);
-      write_snapshot_atomic(engine, path, path + ".tmp");
+      write_snapshot_atomic(engine, snap_path(config.dir, event));
       writer = std::move(next_writer);
       last_snapshot = event;
       ++result.snapshots_written;

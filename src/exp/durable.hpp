@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <functional>
 #include <optional>
 #include <string>
@@ -129,12 +128,5 @@ struct CrashCheckResult {
 CrashCheckResult check_crash_equivalence(const RunRequest& request,
                                          const std::vector<ScriptedArrivalSource::Entry>& script,
                                          std::uint64_t crash_event, const DurableConfig& config);
-
-/// Writes engine.save_snapshot() to `tmp`, checks the flush, then renames
-/// `tmp` to `path`: `path` only ever names a complete, checksummed file,
-/// and a crash mid-write leaves only `tmp` behind. Nothing is fsynced, so
-/// this holds across a process crash, not a power loss (DESIGN.md §6d).
-void write_snapshot_atomic(const SimEngine& engine, const std::filesystem::path& path,
-                           const std::filesystem::path& tmp);
 
 }  // namespace mlfs::exp

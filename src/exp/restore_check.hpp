@@ -5,8 +5,8 @@
 // and demands the interrupted+restored run be indistinguishable from the
 // uninterrupted one — byte-identical event-stream hash and all deterministic
 // RunMetrics fields (RunMetrics::deterministic_equal). Used by the fuzz
-// dimension (exp/fuzz.cpp), the crash-kill tool (tools/mlfs_crashtest) and
-// the restore-determinism tests.
+// dimension (exp/fuzz.cpp) and the restore-determinism tests; on-disk
+// crashes go through durable sessions (exp/durable.hpp) instead.
 #pragma once
 
 #include <cstdint>

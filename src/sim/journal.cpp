@@ -8,6 +8,7 @@
 #include <fstream>
 #include <istream>
 #include <sstream>
+#include <utility>
 
 #include "sim/snapshot.hpp"
 
@@ -239,6 +240,30 @@ std::uint64_t JournalWriter::append_record(const JournalRecord& record) {
 void JournalWriter::sync() {
   sink_->sync();
   since_sync_ = 0;
+}
+
+namespace {
+
+constexpr std::pair<FsyncPolicy, const char*> kFsyncPolicyNames[] = {
+    {FsyncPolicy::EveryRecord, "every"},
+    {FsyncPolicy::GroupCommit, "group"},
+    {FsyncPolicy::Off, "off"},
+};
+
+}  // namespace
+
+const char* fsync_policy_name(FsyncPolicy policy) {
+  for (const auto& [p, name] : kFsyncPolicyNames) {
+    if (p == policy) return name;
+  }
+  throw ContractViolation("unknown FsyncPolicy");
+}
+
+std::optional<FsyncPolicy> parse_fsync_policy(std::string_view name) {
+  for (const auto& [policy, n] : kFsyncPolicyNames) {
+    if (name == n) return policy;
+  }
+  return std::nullopt;
 }
 
 // --------------------------------------------------------------- reader

@@ -38,7 +38,9 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/binio.hpp"
@@ -160,6 +162,11 @@ enum class FsyncPolicy {
   GroupCommit,  ///< fsync every `group_records` appends + at barriers
   Off,          ///< never fsync (process-crash durability only)
 };
+
+/// The policy's command-line name: "every", "group" or "off".
+const char* fsync_policy_name(FsyncPolicy policy);
+/// Inverse of fsync_policy_name; nullopt for any other string.
+std::optional<FsyncPolicy> parse_fsync_policy(std::string_view name);
 
 /// Appends length-framed, CRC'd, monotonically sequenced records through a
 /// sink. Writes the segment header on construction (unless resuming into a

@@ -361,6 +361,17 @@ TEST(Journal, DiskFullDuringHeaderFailsConstruction) {
 
 // Snapshot-side write hardening (same satellite): a failing output stream
 // must surface as a structured io SnapshotError, not a silent bad file.
+TEST(Journal, FsyncPolicyNamesRoundTrip) {
+  for (FsyncPolicy policy :
+       {FsyncPolicy::EveryRecord, FsyncPolicy::GroupCommit, FsyncPolicy::Off}) {
+    EXPECT_EQ(parse_fsync_policy(fsync_policy_name(policy)), policy);
+  }
+  EXPECT_STREQ(fsync_policy_name(FsyncPolicy::GroupCommit), "group");
+  EXPECT_FALSE(parse_fsync_policy("").has_value());
+  EXPECT_FALSE(parse_fsync_policy("Every").has_value());
+  EXPECT_FALSE(parse_fsync_policy("grouped").has_value());
+}
+
 TEST(SnapshotWriteHardening, FailingStreamThrowsStructuredIoError) {
   SnapshotWriter writer(0xfeedu);
   writer.section("alpha").u64(42);

@@ -1,56 +1,46 @@
-// Crash-kill harness for the snapshot/restore subsystem (sim/snapshot.hpp,
-// SimEngine::{save,restore}_snapshot).
+// Crash-kill harness for durable sessions (exp/durable.hpp): snapshots
+// plus a write-ahead journal of streamed arrivals.
 //
-// Each trial runs a faulty, recovery-enabled, stride-1-audited scenario
-// uninterrupted to get the reference event-stream hash and metrics, then
-// kills an identical run at a random event boundary, restores from the last
-// snapshot and replays to completion. The resumed run must be byte-identical
-// (event_stream_hash + every deterministic RunMetrics field).
+// The last --stream-jobs trace jobs are withheld from the engine and
+// streamed into it live (SimEngine::inject_job); every injection is
+// written ahead to a per-segment journal, and recovery is snapshot +
+// journal replay. Each trial kills a faulty, recovery-enabled,
+// stride-1-audited durable run at a *random* event index — not a snapshot
+// boundary — recovers it in a second session and requires the result to
+// be byte-identical (event_stream_hash and every deterministic RunMetrics
+// field) to a run that never crashed, streamed arrivals included.
+// --stream-jobs 0 streams nothing: recovery is then the newest stride
+// snapshot plus a replay of the events after it.
 //
 // Two kill modes:
-//   * in-process (default): the interrupted engine is snapshotted at the
-//     kill event and destroyed mid-run (exp::check_restore_equivalence) —
-//     fast, no filesystem.
-//   * --sigkill: the run happens in a forked child that snapshots to disk on
-//     an event stride (atomic tmp+rename) and raise(SIGKILL)s itself at the
-//     kill event — no destructors, no stream flush, a genuine crash. The
-//     parent verifies the child died by SIGKILL, restores from the newest
-//     complete snapshot and replays. This is the CI crash-restore gate.
-//
-// --journal switches to the zero-loss durable mode (exp/durable.hpp): the
-// last --stream-jobs trace jobs are withheld from the engine and streamed
-// into it live (SimEngine::inject_job), every injection is written ahead to
-// a per-segment journal, and recovery is snapshot + journal replay. The
-// SIGKILL lands at a *random* event index — not a snapshot boundary — and
-// the recovered run must still be byte-identical (event_stream_hash and
-// every deterministic RunMetrics field) to a run that never crashed,
-// streamed arrivals included. This is the CI crash-torture gate.
+//   * in-process (default): the durable session halts at the kill event
+//     without finalizing; its on-disk state is what a crash leaves.
+//   * --sigkill: the session runs in a forked child that raise(SIGKILL)s
+//     itself at the kill event — no destructors, no stream flush, a
+//     genuine crash. The parent checks the child died by SIGKILL.
 //
 // Usage: mlfs_crashtest [--scheduler NAME] [--trials N] [--seed S]
 //                       [--stride N] [--sigkill] [--dir D] [--list]
-//                       [--journal] [--stream-jobs N] [--fsync every|group|off]
+//                       [--stream-jobs N] [--fsync every|group|off]
+//
+// Exit codes: 0 = every trial byte-identical, 1 = a trial failed or the
+// run errored, 2 = usage error.
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
-
-#include <algorithm>
 
 #include "common/expect.hpp"
 #include "common/rng.hpp"
 #include "exp/durable.hpp"
 #include "exp/registry.hpp"
-#include "exp/restore_check.hpp"
 #include "exp/runner.hpp"
-#include "sim/engine.hpp"
 #include "sim/metrics.hpp"
-#include "workload/trace.hpp"
 
 namespace {
 
@@ -60,12 +50,9 @@ struct Options {
   std::string scheduler = "MLFS";
   int trials = 3;
   std::uint64_t seed = 7;
-  std::uint64_t stride = 200;  ///< events between on-disk snapshots (--sigkill)
+  std::uint64_t stride = 200;  ///< events between on-disk snapshots
   bool sigkill = false;
   std::string dir = "crashtest-snapshots";
-
-  // Zero-loss durable mode (--journal).
-  bool journal = false;
   std::size_t stream_jobs = 4;  ///< trace jobs withheld and streamed in live
   FsyncPolicy fsync = FsyncPolicy::GroupCommit;
 
@@ -76,28 +63,26 @@ struct Options {
 
 void print_usage() {
   std::cout <<
-      "mlfs_crashtest — kill a run at a random event boundary, restore from\n"
-      "the last snapshot and demand a byte-identical resume.\n\n"
+      "mlfs_crashtest — kill a durable run at a random event index, recover it\n"
+      "from snapshot + journal replay and demand a byte-identical result.\n\n"
       "  --scheduler NAME  scheduler under test (default MLFS); --list to enumerate\n"
       "  --trials N        kill points per invocation (default 3)\n"
       "  --seed S          seed for the kill-point draw (default 7)\n"
-      "  --stride N        events between on-disk snapshots in --sigkill mode\n"
-      "                    (default 200)\n"
+      "  --stride N        events between on-disk snapshots (default 200)\n"
       "  --sigkill         crash a real subprocess with SIGKILL instead of the\n"
-      "                    in-process abort\n"
-      "  --dir D           snapshot directory for --sigkill (default\n"
-      "                    ./crashtest-snapshots, wiped per trial)\n"
-      "  --journal         zero-loss durable mode: stream the last --stream-jobs\n"
-      "                    trace jobs into the live engine, journal every\n"
-      "                    injection write-ahead, kill at a random event index\n"
-      "                    and recover via snapshot + journal replay\n"
-      "  --stream-jobs N   jobs withheld from the start set and streamed in\n"
-      "                    (default 4; needs --journal)\n"
+      "                    in-process halt\n"
+      "  --dir D           session directory (default ./crashtest-snapshots,\n"
+      "                    wiped per trial)\n"
+      "  --stream-jobs N   trace jobs withheld from the start set, streamed in\n"
+      "                    live and journaled write-ahead (default 4; 0 = none)\n"
       "  --fsync P         journal fsync policy: every | group | off\n"
-      "                    (default group; needs --journal)\n";
+      "                    (default group)\n";
 }
 
-bool parse(int argc, char** argv, Options& options) {
+/// Fills `options` from argv. Returns false when main should exit with
+/// `exit_code` instead: 0 after --help or --list, 2 on a usage error.
+bool parse(int argc, char** argv, Options& options, int& exit_code) {
+  exit_code = 2;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&](const char* flag) -> const char* {
@@ -109,9 +94,11 @@ bool parse(int argc, char** argv, Options& options) {
     };
     if (arg == "--help" || arg == "-h") {
       print_usage();
+      exit_code = 0;
       return false;
     } else if (arg == "--list") {
       for (const auto& name : exp::registered_scheduler_names()) std::cout << name << "\n";
+      exit_code = 0;
       return false;
     } else if (arg == "--scheduler") {
       const char* v = next("--scheduler");
@@ -135,8 +122,6 @@ bool parse(int argc, char** argv, Options& options) {
       const char* v = next("--dir");
       if (!v) return false;
       options.dir = v;
-    } else if (arg == "--journal") {
-      options.journal = true;
     } else if (arg == "--stream-jobs") {
       const char* v = next("--stream-jobs");
       if (!v) return false;
@@ -144,17 +129,12 @@ bool parse(int argc, char** argv, Options& options) {
     } else if (arg == "--fsync") {
       const char* v = next("--fsync");
       if (!v) return false;
-      const std::string policy = v;
-      if (policy == "every") {
-        options.fsync = FsyncPolicy::EveryRecord;
-      } else if (policy == "group") {
-        options.fsync = FsyncPolicy::GroupCommit;
-      } else if (policy == "off") {
-        options.fsync = FsyncPolicy::Off;
-      } else {
+      const auto policy = parse_fsync_policy(v);
+      if (!policy) {
         std::cerr << "--fsync takes every | group | off\n";
         return false;
       }
+      options.fsync = *policy;
     } else if (arg == "--child") {
       options.child = true;
     } else if (arg == "--kill-at") {
@@ -168,6 +148,10 @@ bool parse(int argc, char** argv, Options& options) {
   }
   if (options.stride == 0) {
     std::cerr << "--stride must be positive\n";
+    return false;
+  }
+  if (options.trials < 1) {
+    std::cerr << "--trials must be at least 1\n";
     return false;
   }
   return true;
@@ -212,20 +196,11 @@ exp::DurableConfig durable_config(const Options& options) {
   return config;
 }
 
-const char* fsync_flag(FsyncPolicy policy) {
-  switch (policy) {
-    case FsyncPolicy::EveryRecord: return "every";
-    case FsyncPolicy::GroupCommit: return "group";
-    case FsyncPolicy::Off: return "off";
-  }
-  return "group";
-}
-
-/// Child body for --journal --sigkill: run the durable session up to the kill
-/// event, then die by a real SIGKILL. The journal sink is unbuffered (one
+/// Child body for --sigkill: run the durable session up to the kill event,
+/// then die by a real SIGKILL. The journal sink is unbuffered (one
 /// write(2) per record), so the on-disk state is exactly a crash at that
 /// event index — no destructors run, nothing left to flush.
-int run_journal_child(const Options& options) {
+int run_child(const Options& options) {
   exp::RunRequest request = crash_request(options);
   const auto script = exp::split_streamed_tail(request, options.stream_jobs);
   exp::DurableConfig config = durable_config(options);
@@ -236,13 +211,13 @@ int run_journal_child(const Options& options) {
   return 3;
 }
 
-/// One zero-loss trial: crash a durable run at `kill_at` (forked SIGKILL or
+/// One trial: crash a durable run at `kill_at` (forked SIGKILL or
 /// in-process halt), recover in a second session via snapshot + journal
 /// replay, and demand byte-identity with the never-crashed reference.
-bool run_journal_trial(const Options& options, const std::string& self_exe,
-                       std::uint64_t kill_at, const exp::RunRequest& request,
-                       const std::vector<exp::ScriptedArrivalSource::Entry>& script,
-                       const RunMetrics& reference) {
+bool run_trial(const Options& options, const std::string& self_exe, std::uint64_t kill_at,
+               const exp::RunRequest& request,
+               const std::vector<exp::ScriptedArrivalSource::Entry>& script,
+               const RunMetrics& reference) {
   const std::filesystem::path dir = options.dir;
   std::filesystem::remove_all(dir);
 
@@ -250,11 +225,12 @@ bool run_journal_trial(const Options& options, const std::string& self_exe,
     const pid_t pid = fork();
     if (pid < 0) throw ContractViolation("fork failed");
     if (pid == 0) {
-      execl(self_exe.c_str(), self_exe.c_str(), "--journal", "--child", "--kill-at",
+      execl(self_exe.c_str(), self_exe.c_str(), "--child", "--kill-at",
             std::to_string(kill_at).c_str(), "--scheduler", options.scheduler.c_str(),
             "--stride", std::to_string(options.stride).c_str(), "--stream-jobs",
-            std::to_string(options.stream_jobs).c_str(), "--fsync", fsync_flag(options.fsync),
-            "--dir", dir.string().c_str(), static_cast<char*>(nullptr));
+            std::to_string(options.stream_jobs).c_str(), "--fsync",
+            fsync_policy_name(options.fsync), "--dir", dir.string().c_str(),
+            static_cast<char*>(nullptr));
       _exit(127);  // exec failed
     }
     int status = 0;
@@ -293,97 +269,6 @@ bool run_journal_trial(const Options& options, const std::string& self_exe,
   return ok;
 }
 
-/// Child body for --sigkill: run the scenario, snapshot on the stride, then
-/// die by a real SIGKILL at the kill event — no unwinding, no flush.
-int run_child(const Options& options) {
-  exp::EngineBundle bundle = exp::build_engine(crash_request(options));
-  SimEngine& engine = *bundle.engine;
-  std::filesystem::create_directories(options.dir);
-  // A crash mid-write leaves a *.tmp the restore scan ignores, never a
-  // truncated snap-*.bin.
-  const auto checkpoint = [&](std::uint64_t events) {
-    const std::filesystem::path dir = options.dir;
-    const std::string stem = "snap-" + std::to_string(events);
-    exp::write_snapshot_atomic(engine, dir / (stem + ".bin"), dir / (stem + ".tmp"));
-  };
-  checkpoint(0);  // guarantees a restore point
-  while (engine.step()) {
-    if (engine.events_processed() % options.stride == 0) checkpoint(engine.events_processed());
-    // No snapshot at the kill point itself: the restore must come from the
-    // last *stride* snapshot and replay the gap, like a real crash.
-    if (engine.events_processed() >= options.kill_at) raise(SIGKILL);
-  }
-  // Only reachable if the run finished before the kill point — trial bug.
-  std::cerr << "child completed before kill_at=" << options.kill_at << "\n";
-  return 3;
-}
-
-/// Newest complete snapshot in `dir` (complete by construction: only fully
-/// written files are renamed to *.bin).
-std::filesystem::path newest_snapshot(const std::filesystem::path& dir) {
-  std::filesystem::path best;
-  std::uint64_t best_events = 0;
-  bool found = false;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("snap-", 0) != 0 || entry.path().extension() != ".bin") continue;
-    const std::uint64_t events = std::stoull(name.substr(5));
-    if (!found || events >= best_events) {
-      best = entry.path();
-      best_events = events;
-      found = true;
-    }
-  }
-  if (!found) throw ContractViolation("no complete snapshot in " + dir.string());
-  return best;
-}
-
-bool run_sigkill_trial(const Options& options, const std::string& self_exe,
-                       std::uint64_t kill_at, const RunMetrics& reference) {
-  const std::filesystem::path dir = options.dir;
-  std::filesystem::remove_all(dir);
-
-  const pid_t pid = fork();
-  if (pid < 0) throw ContractViolation("fork failed");
-  if (pid == 0) {
-    execl(self_exe.c_str(), self_exe.c_str(), "--child", "--kill-at",
-          std::to_string(kill_at).c_str(), "--scheduler", options.scheduler.c_str(),
-          "--stride", std::to_string(options.stride).c_str(), "--dir",
-          dir.string().c_str(), static_cast<char*>(nullptr));
-    _exit(127);  // exec failed
-  }
-  int status = 0;
-  if (waitpid(pid, &status, 0) != pid) throw ContractViolation("waitpid failed");
-  if (!WIFSIGNALED(status) || WTERMSIG(status) != SIGKILL) {
-    std::cerr << "  child did not die by SIGKILL (status=" << status << ")\n";
-    return false;
-  }
-
-  const std::filesystem::path snap = newest_snapshot(dir);
-  exp::EngineBundle bundle = exp::build_engine(crash_request(options));
-  SimEngine& engine = *bundle.engine;
-  {
-    std::ifstream in(snap, std::ios::binary);
-    if (!in) throw ContractViolation("cannot open " + snap.string());
-    engine.restore_snapshot(in);
-  }
-  std::cerr << "  killed at event " << kill_at << ", restored " << snap.filename().string()
-            << " at event " << engine.events_processed() << "\n";
-  while (engine.step()) {
-  }
-  const RunMetrics restored = engine.finalize();
-
-  std::filesystem::remove_all(dir);
-  const bool ok = deterministic_equal(reference, restored) &&
-                  reference.event_stream_hash == restored.event_stream_hash;
-  if (!ok) {
-    std::cerr << "  MISMATCH\n    reference: hash=" << std::hex << reference.event_stream_hash
-              << std::dec << " " << reference.summary() << "\n    restored:  hash=" << std::hex
-              << restored.event_stream_hash << std::dec << " " << restored.summary() << "\n";
-  }
-  return ok;
-}
-
 std::string self_exe_path(const char* argv0) {
   char buf[4096];
   const ssize_t n = readlink("/proc/self/exe", buf, sizeof(buf) - 1);
@@ -399,49 +284,19 @@ std::string self_exe_path(const char* argv0) {
 int main(int argc, char** argv) {
   Options options;
   try {
-    if (!parse(argc, argv, options)) return 0;
-    if (options.child) return options.journal ? run_journal_child(options) : run_child(options);
+    int exit_code = 0;
+    if (!parse(argc, argv, options, exit_code)) return exit_code;
+    if (options.child) return run_child(options);
 
-    if (options.journal) {
-      // Zero-loss gate: reference streams the withheld jobs live, no journal.
-      exp::RunRequest request = crash_request(options);
-      const auto script = exp::split_streamed_tail(request, options.stream_jobs);
-      const RunMetrics reference = exp::run_streaming(request, script);
-      const std::uint64_t total_events = reference.events_processed;
-      if (total_events <= 1) throw ContractViolation("reference run dispatched no events");
-      std::cerr << options.scheduler << ": reference " << total_events << " events ("
-                << reference.jobs_injected << " streamed), hash=0x" << std::hex
-                << reference.event_stream_hash << std::dec << "\n";
-
-      const std::string self_exe = self_exe_path(argv[0]);
-      Rng rng(options.seed);
-      int failures = 0;
-      for (int trial = 0; trial < options.trials; ++trial) {
-        const std::uint64_t kill_at = 1 + rng.next_u64() % (total_events - 1);
-        std::cerr << "trial " << trial << (options.sigkill ? " (journal, sigkill):\n"
-                                                           : " (journal, in-process):\n");
-        const bool ok =
-            run_journal_trial(options, self_exe, kill_at, request, script, reference);
-        std::cout << "trial " << trial << " kill_at=" << kill_at << " "
-                  << (ok ? "PASS" : "FAIL") << "\n";
-        if (!ok) ++failures;
-      }
-      if (failures > 0) {
-        std::cout << failures << "/" << options.trials << " trials FAILED\n";
-        return 1;
-      }
-      std::cout << "all " << options.trials
-                << " trials byte-identical after journal recovery\n";
-      return 0;
-    }
-
-    // Uninterrupted reference run: total event count bounds the kill draw.
-    exp::EngineBundle reference_bundle = exp::build_engine(crash_request(options));
-    const RunMetrics reference = reference_bundle.engine->run();
+    // The reference streams the withheld jobs live, with no journal.
+    exp::RunRequest request = crash_request(options);
+    const auto script = exp::split_streamed_tail(request, options.stream_jobs);
+    const RunMetrics reference = exp::run_streaming(request, script);
     const std::uint64_t total_events = reference.events_processed;
     if (total_events <= 1) throw ContractViolation("reference run dispatched no events");
-    std::cerr << options.scheduler << ": reference " << total_events << " events, hash=0x"
-              << std::hex << reference.event_stream_hash << std::dec << "\n";
+    std::cerr << options.scheduler << ": reference " << total_events << " events ("
+              << reference.jobs_injected << " streamed), hash=0x" << std::hex
+              << reference.event_stream_hash << std::dec << "\n";
 
     const std::string self_exe = self_exe_path(argv[0]);
     Rng rng(options.seed);
@@ -449,18 +304,8 @@ int main(int argc, char** argv) {
     for (int trial = 0; trial < options.trials; ++trial) {
       // Kill somewhere strictly inside the run so the resume does real work.
       const std::uint64_t kill_at = 1 + rng.next_u64() % (total_events - 1);
-      bool ok = false;
-      if (options.sigkill) {
-        std::cerr << "trial " << trial << " (sigkill):\n";
-        ok = run_sigkill_trial(options, self_exe, kill_at, reference);
-      } else {
-        const exp::RestoreCheckResult result =
-            exp::check_restore_equivalence(crash_request(options), kill_at);
-        ok = result.equivalent;
-        std::cerr << "trial " << trial << " (in-process): kill at event "
-                  << result.snapshot_event << "\n";
-        if (!ok) std::cerr << result.detail << "\n";
-      }
+      std::cerr << "trial " << trial << (options.sigkill ? " (sigkill):\n" : " (in-process):\n");
+      const bool ok = run_trial(options, self_exe, kill_at, request, script, reference);
       std::cout << "trial " << trial << " kill_at=" << kill_at << " "
                 << (ok ? "PASS" : "FAIL") << "\n";
       if (!ok) ++failures;
@@ -469,7 +314,7 @@ int main(int argc, char** argv) {
       std::cout << failures << "/" << options.trials << " trials FAILED\n";
       return 1;
     }
-    std::cout << "all " << options.trials << " trials byte-identical after restore\n";
+    std::cout << "all " << options.trials << " trials byte-identical after recovery\n";
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

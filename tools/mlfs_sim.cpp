@@ -18,15 +18,14 @@
 //            [--adaptive-checkpoint] [--spread-placement]
 //            [--coarsen-curve]
 //            [--contention] [--duty-cycle] [--nic-mbps B] [--uplink-mbps B]
-//            [--snapshot-every N] [--snapshot-dir D] [--restore FILE]
-//            [--snapshot-keep K] [--journal DIR] [--fsync every|group|off]
-//            [--stream-jobs N]
+//            [--journal DIR] [--snapshot-every N] [--snapshot-keep K]
+//            [--fsync every|group|off] [--stream-jobs N]
+//
+// Exit codes: 0 = ran (or --help / --list), 1 = run error, 2 = usage error.
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -79,14 +78,10 @@ struct Options {
   double nic_mbps = 1000.0;
   double uplink_mbps = 600.0;
 
-  // Snapshot / restore (single-scheduler manual drive).
-  std::uint64_t snapshot_every = 0;  ///< events between snapshots (0 = off)
-  std::string snapshot_dir = "snapshots";
-  std::string restore_file;
-  int snapshot_keep = 0;  ///< prune to the newest K snapshots (0 = keep all)
-
   // Durable journal session (exp/durable.hpp; single scheduler).
   std::string journal_dir;  ///< empty = off
+  std::uint64_t snapshot_every = 0;  ///< events between snapshots (0 = only the first)
+  int snapshot_keep = 0;  ///< prune to the newest K snapshots (0 = keep all)
   FsyncPolicy fsync = FsyncPolicy::GroupCommit;
   std::size_t stream_jobs = 0;  ///< stream the last N workload jobs in live
 };
@@ -148,19 +143,15 @@ void print_usage() {
       "                       <= 0 = unconstrained; needs --contention)\n"
       "  --uplink-mbps B      per-rack uplink capacity in Mbps (default 600;\n"
       "                       <= 0 = unconstrained; needs --contention)\n"
-      "  --snapshot-every N   write an engine snapshot every N events (atomic\n"
-      "                       tmp+rename, snap-<events>.bin); single scheduler only\n"
-      "  --snapshot-dir D     snapshot directory (default ./snapshots)\n"
-      "  --restore FILE       resume from a snapshot instead of starting fresh;\n"
-      "                       the other flags must rebuild the exact run the\n"
-      "                       snapshot came from (config fingerprint enforced)\n"
-      "  --snapshot-keep K    prune all but the newest K snapshots (and, with\n"
-      "                       --journal, their journal segments); 0 = keep all\n"
       "  --journal DIR        durable session: write-ahead journal + periodic\n"
-      "                       snapshots in DIR (stride from --snapshot-every);\n"
-      "                       if DIR already holds a snapshot the run resumes\n"
-      "                       from it, replaying journaled arrivals — SIGKILL\n"
-      "                       at any instant loses nothing\n"
+      "                       snapshots in DIR; single scheduler only. If DIR\n"
+      "                       already holds a snapshot the run resumes from it,\n"
+      "                       replaying journaled arrivals: re-run the same\n"
+      "                       command after a process crash and nothing is lost\n"
+      "  --snapshot-every N   snapshot every N events (default 0 = only the\n"
+      "                       first; needs --journal)\n"
+      "  --snapshot-keep K    prune all but the newest K snapshots and their\n"
+      "                       journal segments (0 = keep all; needs --journal)\n"
       "  --fsync P            journal fsync policy: every | group | off\n"
       "                       (default group; needs --journal)\n"
       "  --stream-jobs N      withhold the last N workload jobs and stream\n"
@@ -168,7 +159,10 @@ void print_usage() {
       "                       (journaled write-ahead; needs --journal)\n";
 }
 
-bool parse(int argc, char** argv, Options& options) {
+/// Fills `options` from argv. Returns false when main should exit with
+/// `exit_code` instead: 0 after --help or --list, 2 on a usage error.
+bool parse(int argc, char** argv, Options& options, int& exit_code) {
+  exit_code = 2;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&](const char* what) -> const char* {
@@ -180,9 +174,11 @@ bool parse(int argc, char** argv, Options& options) {
     };
     if (arg == "--help" || arg == "-h") {
       print_usage();
+      exit_code = 0;
       return false;
     } else if (arg == "--list" || arg == "--list-schedulers") {
       for (const auto& name : exp::registered_scheduler_names()) std::cout << name << "\n";
+      exit_code = 0;
       return false;
     } else if (arg == "--scheduler") {
       const char* v = next("--scheduler");
@@ -292,14 +288,6 @@ bool parse(int argc, char** argv, Options& options) {
       const char* v = next("--snapshot-every");
       if (!v) return false;
       options.snapshot_every = std::stoull(v);
-    } else if (arg == "--snapshot-dir") {
-      const char* v = next("--snapshot-dir");
-      if (!v) return false;
-      options.snapshot_dir = v;
-    } else if (arg == "--restore") {
-      const char* v = next("--restore");
-      if (!v) return false;
-      options.restore_file = v;
     } else if (arg == "--snapshot-keep") {
       const char* v = next("--snapshot-keep");
       if (!v) return false;
@@ -311,17 +299,12 @@ bool parse(int argc, char** argv, Options& options) {
     } else if (arg == "--fsync") {
       const char* v = next("--fsync");
       if (!v) return false;
-      const std::string policy = v;
-      if (policy == "every") {
-        options.fsync = FsyncPolicy::EveryRecord;
-      } else if (policy == "group") {
-        options.fsync = FsyncPolicy::GroupCommit;
-      } else if (policy == "off") {
-        options.fsync = FsyncPolicy::Off;
-      } else {
+      const auto policy = parse_fsync_policy(v);
+      if (!policy) {
         std::cerr << "--fsync takes every | group | off\n";
         return false;
       }
+      options.fsync = *policy;
     } else if (arg == "--stream-jobs") {
       const char* v = next("--stream-jobs");
       if (!v) return false;
@@ -350,19 +333,13 @@ bool parse(int argc, char** argv, Options& options) {
     std::cerr << "--duty-cycle / --nic-mbps / --uplink-mbps need --contention\n";
     return false;
   }
-  if ((options.snapshot_every > 0 || !options.restore_file.empty() ||
-       !options.journal_dir.empty()) &&
-      options.schedulers.size() != 1) {
-    std::cerr << "--snapshot-every / --restore / --journal drive one engine "
-                 "manually; give exactly one --scheduler\n";
+  if (options.journal_dir.empty() &&
+      (options.snapshot_every > 0 || options.snapshot_keep != 0 || options.stream_jobs > 0)) {
+    std::cerr << "--snapshot-every / --snapshot-keep / --stream-jobs need --journal\n";
     return false;
   }
-  if (options.journal_dir.empty() && options.stream_jobs > 0) {
-    std::cerr << "--stream-jobs needs --journal\n";
-    return false;
-  }
-  if (!options.journal_dir.empty() && !options.restore_file.empty()) {
-    std::cerr << "--journal recovers from its own directory; drop --restore\n";
+  if (!options.journal_dir.empty() && options.schedulers.size() != 1) {
+    std::cerr << "--journal drives one engine; give exactly one --scheduler\n";
     return false;
   }
   if (!options.journal_dir.empty() && !options.event_log_file.empty()) {
@@ -374,23 +351,6 @@ bool parse(int argc, char** argv, Options& options) {
     return false;
   }
   return true;
-}
-
-/// Prunes the legacy --snapshot-every directory to the newest `keep`
-/// snap-*.bin files (the --journal path prunes snapshot+journal *pairs*
-/// itself, inside exp::run_durable).
-void prune_snapshot_dir(const std::filesystem::path& dir, int keep) {
-  std::vector<std::pair<std::uint64_t, std::filesystem::path>> snaps;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("snap-", 0) != 0 || entry.path().extension() != ".bin") continue;
-    snaps.emplace_back(std::stoull(name.substr(5)), entry.path());
-  }
-  std::sort(snaps.begin(), snaps.end());
-  while (snaps.size() > static_cast<std::size_t>(keep)) {
-    std::filesystem::remove(snaps.front().second);
-    snaps.erase(snaps.begin());
-  }
 }
 
 std::shared_ptr<const std::vector<JobSpec>> load_trace_workload(const Options& options) {
@@ -422,7 +382,8 @@ void print_csv_row(const RunMetrics& m) {
 int main(int argc, char** argv) {
   Options options;
   try {
-    if (!parse(argc, argv, options)) return 0;
+    int exit_code = 0;
+    if (!parse(argc, argv, options, exit_code)) return exit_code;
 
     ClusterConfig cluster;
     cluster.server_count = options.servers;
@@ -500,26 +461,7 @@ int main(int argc, char** argv) {
     // withholds the tail of the workload and injects it live.
     if (!options.journal_dir.empty()) {
       exp::RunRequest request = requests.front();
-      std::vector<exp::ScriptedArrivalSource::Entry> script;
-      if (options.stream_jobs > 0) {
-        std::vector<JobSpec> specs = request.workload
-                                         ? *request.workload
-                                         : PhillyTraceGenerator(request.trace).generate();
-        std::stable_sort(specs.begin(), specs.end(), [](const JobSpec& a, const JobSpec& b) {
-          return a.arrival < b.arrival;
-        });
-        if (options.stream_jobs >= specs.size()) {
-          throw ContractViolation("--stream-jobs must leave at least one job in the start set");
-        }
-        std::vector<JobSpec> streamed(
-            specs.end() - static_cast<std::ptrdiff_t>(options.stream_jobs), specs.end());
-        specs.resize(specs.size() - options.stream_jobs);
-        // The cluster requires dense job ids; streamed jobs are re-id'd by
-        // the engine on injection, so only the start set is renumbered.
-        for (std::size_t i = 0; i < specs.size(); ++i) specs[i].id = static_cast<JobId>(i);
-        request.workload = std::make_shared<const std::vector<JobSpec>>(std::move(specs));
-        script = exp::make_script(streamed);
-      }
+      const auto script = exp::split_streamed_tail(request, options.stream_jobs);
       exp::DurableConfig config;
       config.dir = options.journal_dir;
       config.snapshot_stride = options.snapshot_every;
@@ -536,41 +478,6 @@ int main(int argc, char** argv) {
         print_csv_row(result.metrics);
       } else {
         std::cout << result.metrics.summary() << "\n";
-      }
-      return 0;
-    }
-
-    // Snapshot / restore path: drive the one engine manually so we can
-    // checkpoint on an event stride and/or resume from a prior snapshot.
-    if (options.snapshot_every > 0 || !options.restore_file.empty()) {
-      exp::EngineBundle bundle = exp::build_engine(requests.front());
-      SimEngine& engine = *bundle.engine;
-      if (!options.restore_file.empty()) {
-        std::ifstream in(options.restore_file, std::ios::binary);
-        if (!in) throw ContractViolation("cannot open snapshot: " + options.restore_file);
-        engine.restore_snapshot(in);
-        std::cerr << "restored at event " << engine.events_processed() << "\n";
-      }
-      const std::filesystem::path dir = options.snapshot_dir;
-      if (options.snapshot_every > 0) std::filesystem::create_directories(dir);
-      while (engine.step()) {
-        if (options.snapshot_every > 0 &&
-            engine.events_processed() % options.snapshot_every == 0) {
-          // A crash mid-write leaves only a *.tmp the restore path never
-          // considers, never a truncated snap-*.bin.
-          const std::string stem = "snap-" + std::to_string(engine.events_processed());
-          exp::write_snapshot_atomic(engine, dir / (stem + ".bin"), dir / (stem + ".tmp"));
-          if (options.snapshot_keep > 0) {
-            prune_snapshot_dir(options.snapshot_dir, options.snapshot_keep);
-          }
-        }
-      }
-      const RunMetrics m = engine.finalize();
-      if (options.csv) {
-        print_csv_header();
-        print_csv_row(m);
-      } else {
-        std::cout << m.summary() << "\n";
       }
       return 0;
     }
